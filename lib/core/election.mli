@@ -59,10 +59,15 @@ val initial : state
 val activation_probability : a0:float -> d:int -> float
 (** [1. -. (1. -. a0) ** d].  Requires [a0] in [(0,1)] and [d >= 1]. *)
 
+val activates : a0:float -> rng:Abe_prob.Rng.t -> state -> bool
+(** The coin of one clock tick: [true] when an idle node activates.  An
+    idle node draws once from [rng]; other phases draw nothing and give
+    [false]. *)
+
 val tick_decision : a0:float -> rng:Abe_prob.Rng.t -> state -> state * bool
-(** One clock tick.  For an idle node, flips the activation coin: on success
-    the node becomes active and must send [<1>] ([true] in the result).
-    Non-idle nodes are unchanged ([false]). *)
+(** One clock tick.  For an idle node, flips the activation coin
+    ({!activates}): on success the node becomes active and must send [<1>]
+    ([true] in the result).  Non-idle nodes are unchanged ([false]). *)
 
 val receive : n:int -> state -> message -> state * reaction
 (** One message receipt, per the case analysis above.  Requires [n >= 2] and

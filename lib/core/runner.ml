@@ -47,6 +47,20 @@ let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
     link_delays;
   if not (Params.admits_processing params proc_delay) then
     invalid_arg "Runner.config: processing-time mean exceeds gamma";
+  (* Fault entities are checked here, not left to [Network.create]: a bad
+     id is a user input error, and the ring of [n] nodes has exactly the
+     links [0 .. n-1] (link [i] leaves node [i]). *)
+  let check_id what id =
+    if id < 0 || id >= n then
+      invalid_arg
+        (Printf.sprintf
+           "Runner.config: fault %s %d out of range (the ring has %ss 0..%d)"
+           what id what (n - 1))
+  in
+  List.iter (fun (node, _) -> check_id "node" node) crash_times;
+  List.iter (fun (node, _) -> check_id "node" node) fault.Faults.crashes;
+  List.iter (fun (node, _) -> check_id "node" node) fault.Faults.revivals;
+  List.iter (fun (link, _, _) -> check_id "link" link) fault.Faults.link_downs;
   (* Admissibility is checked on the base models only: a fault scenario
      deliberately perturbs the network outside its advertised bounds —
      that is the point of injecting it. *)
@@ -152,8 +166,11 @@ let mix h v =
   z lxor (z lsr 32)
 
 (* Both the paper's algorithm and the naive ablation differ only in the
-   tick rule, so share the wiring and take the tick handler as an input. *)
-let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
+   activation coin, so share the wiring and take the coin as an input.
+   The coin answers only whether an idle node activates; the handler
+   builds the active state itself, so a tick that changes nothing (almost
+   all of them) allocates no result. *)
+let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
     ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed config =
   let counters =
     { activations = 0;
@@ -313,24 +330,28 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
     { init = (fun _ctx -> Election.initial);
       on_tick =
         (fun ctx st ->
-           let st', activated = tick ~rng:ctx.Net.rng st in
-           shadow.(ctx.Net.node) <- st';
-           record_phase (ctx.Net.now ()) ctx.Net.node st st';
-           if activated then begin
+           (* A tick that does not activate leaves the state — and so its
+              shadow copy — as it was. *)
+           if not (activates ~rng:ctx.Net.rng st) then st
+           else begin
+             let st' = { st with Election.phase = Election.Active } in
+             let time = ctx.Net.now () in
+             shadow.(ctx.Net.node) <- st';
+             record_phase time ctx.Net.node st st';
              counters.activations <- counters.activations + 1;
-             counters.activation_times <- ctx.Net.now () :: counters.activation_times;
-             cmark ~node:ctx.Net.node ~time:(ctx.Net.now ()) "activate";
+             counters.activation_times <- time :: counters.activation_times;
+             cmark ~node:ctx.Net.node ~time "activate";
              record (fun i ->
                  Abe_sim.Metrics.incr i.m_activations;
-                 Abe_sim.Metrics.observe i.m_activation_time (ctx.Net.now ());
+                 Abe_sim.Metrics.observe i.m_activation_time time;
                  Abe_sim.Metrics.observe i.m_live_tokens
                    (float_of_int (live_tokens ())));
              (* A fresh token starts with hop counter 1, and will have
                 traversed exactly one link when it first arrives. *)
              ctx.Net.send 0 { hop = 1; traversed = 1 };
-             note_send (successor ctx.Net.node) 1
-           end;
-           st');
+             note_send (successor ctx.Net.node) 1;
+             st'
+           end);
       on_message =
         (fun ctx st tok ->
            let time = ctx.Net.now () in
@@ -508,20 +529,17 @@ let run ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed config =
   run_with ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed config
-    ~tick:(fun ~rng st -> Election.tick_decision ~a0:config.a0 ~rng st)
+    ~activates:(fun ~rng st -> Election.activates ~a0:config.a0 ~rng st)
 
 (* Ablation: constant activation probability, ignoring d. *)
 let run_naive ?trace ?metrics ?scheduler ?causal ?check ?forwarding
     ?wall_deadline ~seed config =
   run_with ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed config
-    ~tick:(fun ~rng st ->
+    ~activates:(fun ~rng st ->
         match st.Election.phase with
-        | Election.Idle ->
-          if Rng.bernoulli rng config.a0 then
-            ({ st with Election.phase = Election.Active }, true)
-          else (st, false)
-        | Election.Active | Election.Passive | Election.Leader -> (st, false))
+        | Election.Idle -> Rng.bernoulli rng config.a0
+        | Election.Active | Election.Passive | Election.Leader -> false)
 
 let pp_outcome ppf o =
   Fmt.pf ppf

@@ -66,7 +66,9 @@ val config :
 
     @raise Invalid_argument if the delay model's expected delay exceeds
     [params.delta] or the processing mean exceeds [params.gamma] — the
-    configuration would not be an honest ABE network. *)
+    configuration would not be an honest ABE network — or if a crash,
+    rejoin or link outage (from [crash_times] or [fault]) names a node or
+    link outside the ring's [0 .. n-1]. *)
 
 type outcome = {
   elected : bool;

@@ -27,38 +27,62 @@ let pp ppf = function
   | Parallel { num_domains } ->
     Format.fprintf ppf "parallel(%d domains)" num_domains
 
-(* Chunked fan-out: worker [k] of [d] owns the contiguous index range
-   [n*k/d, n*(k+1)/d).  Workers return their chunk; the caller reassembles
-   by range, so result order is the input order regardless of which domain
-   finishes first.  Joining every worker before re-raising keeps a failing
-   [f] from leaking running domains. *)
+(* Dynamic claiming: every worker, the calling domain included, takes the
+   next unclaimed index from one atomic counter and writes the outcome
+   into that index's slot.  Work per task is heavy-tailed (a replicated
+   election can cost ten times another), so a domain that finishes early
+   keeps claiming instead of idling behind a fixed share, while reading
+   the slots back in index order keeps the output in input order.
+
+   A failure is stored in its slot too.  Indices are claimed in increasing
+   order, so when index [i] fails every lower index has already been
+   claimed; workers stop claiming past the lowest failure, and once every
+   spawned domain is joined the first failed slot in index order is
+   re-raised — the exception [List.map f items] would raise. *)
+type 'b slot =
+  | Pending
+  | Done of 'b
+  | Failed of exn * Printexc.raw_backtrace
+
+let rec lower_to cell i =
+  let current = Atomic.get cell in
+  if i < current && not (Atomic.compare_and_set cell current i) then
+    lower_to cell i
+
 let map_domains ~num_domains f items =
   let input = Array.of_list items in
   let n = Array.length input in
   let d = min num_domains n in
   if d <= 1 then List.map f items
   else begin
-    let chunk k =
-      let lo = n * k / d in
-      let hi = n * (k + 1) / d in
-      Array.init (hi - lo) (fun i -> f input.(lo + i))
+    let slots = Array.make n Pending in
+    let next = Atomic.make 0 in
+    let first_failure = Atomic.make n in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n && i < Atomic.get first_failure then begin
+        (match f input.(i) with
+         | result -> slots.(i) <- Done result
+         | exception e ->
+           slots.(i) <- Failed (e, Printexc.get_raw_backtrace ());
+           lower_to first_failure i);
+        work ()
+      end
     in
-    let workers = List.init (d - 1) (fun k -> Domain.spawn (fun () -> chunk (k + 1))) in
-    (* The calling domain is the pool's first worker.  Capture failures so
-       that every spawned domain is joined before any exception escapes. *)
-    let first = match chunk 0 with c -> Ok c | exception e -> Error e in
-    let rest =
-      List.map
-        (fun worker ->
-           match Domain.join worker with
-           | result -> Ok result
-           | exception e -> Error e)
-        workers
-    in
-    let chunks =
-      List.map (function Ok c -> c | Error e -> raise e) (first :: rest)
-    in
-    Array.to_list (Array.concat chunks)
+    let workers = List.init (d - 1) (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join workers;
+    Array.iter
+      (function
+        | Failed (e, backtrace) -> Printexc.raise_with_backtrace e backtrace
+        | Pending | Done _ -> ())
+      slots;
+    Array.fold_right
+      (fun slot acc ->
+         match slot with
+         | Done result -> result :: acc
+         | Pending | Failed _ -> assert false)
+      slots []
   end
 
 let map driver f items =

@@ -2,8 +2,8 @@
 
     A driver decides {e how} a batch of independent tasks (typically one
     simulation per seed) is executed: {!Sequential} runs them in order on
-    the calling domain, {!Parallel} fans them out over a pool of OCaml 5
-    domains ([Domain.spawn]) with chunked assignment.
+    the calling domain, {!Parallel} fans them out over OCaml 5 domains
+    ([Domain.spawn]) that claim tasks one at a time from a shared counter.
 
     Determinism guarantee: for any driver, [map driver f items] returns
     exactly [List.map f items] — same results, same ordering — provided [f]
@@ -34,10 +34,15 @@ val pp : Format.formatter -> t -> unit
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map driver f items] computes [List.map f items].  With [Parallel],
-    items are split into [num_domains] contiguous chunks, one per spawned
-    domain; results are reassembled in input order, so the output is
-    independent of scheduling.  An exception raised by [f] in any worker is
-    re-raised in the caller (after all workers have been joined). *)
+    [num_domains - 1] domains are spawned for the call and, together with
+    the calling domain, claim items dynamically: each worker takes the
+    next unclaimed index from one atomic counter, so a domain that drew
+    cheap tasks keeps working while another finishes an expensive one.
+    Each result is written to its item's slot, so the output is in input
+    order and independent of scheduling.  If [f] raises, the exception
+    from the lowest failing index — the one [List.map f items] would
+    raise — is re-raised in the caller, after every spawned domain has
+    been joined; items past that index may or may not have been run. *)
 
 (** Wall-clock accounting for one [map] batch. *)
 type timing = {

@@ -84,7 +84,6 @@ module Make (P : PROTOCOL) = struct
     id : int;
     node_rng : Rng.t;
     clock : Clock.t;
-    mutable st : P.state option;  (* [Some] once [init] has run *)
     mutable is_crashed : bool;
     mutable incarnation : int;
         (* bumped at every crash: node-local events (processing
@@ -121,6 +120,10 @@ module Make (P : PROTOCOL) = struct
     config : config;
     handlers : handlers;
     nodes : node array;
+    mutable states : P.state array;  (* by node id; filled by [init] in
+                                        [create], before any event runs —
+                                        stored bare, so a handler's result
+                                        is written without boxing *)
     mutable contexts : context array;
     links : Topology.link array;    (* by link id *)
     delays : Delay_model.t array;   (* by link id *)
@@ -184,11 +187,6 @@ module Make (P : PROTOCOL) = struct
     | None -> ()
     | Some f -> f ~time:(now t) ~stats:t.net_stats ~in_flight:t.inflight ev
 
-  let node_state node =
-    match node.st with
-    | Some st -> st
-    | None -> assert false  (* init always runs before any event *)
-
   (* Scheduling classes for the engine's pluggable scheduler: link transit
      events share the link's class (per-link FIFO), node-local events
      (processing completions, ticks) share a per-node class (per-node
@@ -217,7 +215,7 @@ module Make (P : PROTOCOL) = struct
      [t.busy.(id)] ([start - arrival] is queueing behind earlier work,
      [completion - start] the processing time itself); results pass
      through flat arrays so no float is boxed on the way out. *)
-  let occupy t node ~arrival =
+  let[@inline] occupy t node ~arrival =
     let start = Float.max arrival t.busy.(node.id) in
     let proc =
       match t.config.proc_delay with
@@ -287,7 +285,7 @@ module Make (P : PROTOCOL) = struct
         t.causal;
       let ctx = t.contexts.(dst.id) in
       free_envelope t i;
-      dst.st <- Some (t.handlers.on_message ctx (node_state dst) message)
+      t.states.(dst.id) <- t.handlers.on_message ctx t.states.(dst.id) message
     end
 
   (* Runs at the message's arrival instant: queue behind the destination's
@@ -349,7 +347,7 @@ module Make (P : PROTOCOL) = struct
       t.env_completion.(i) <- t.busy.(dst.id);
       t.env_inc.(i) <- dst.incarnation;
       ignore
-        (Engine.schedule_at t.engine ~tag:(node_class t dst.id)
+        (Engine.schedule_tagged t.engine ~tag:(node_class t dst.id)
            ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
            ~time:t.busy.(dst.id) t.env_complete.(i))
     end
@@ -536,7 +534,7 @@ module Make (P : PROTOCOL) = struct
       t.env_sent_at.(i) <- sent_at;
       t.env_cause.(i) <- cause;
       ignore
-        (Engine.schedule_at t.engine ~tag:(link_class link)
+        (Engine.schedule_tagged t.engine ~tag:(link_class link)
            ~footprint:
              (if t.foot_on then
                 link_bit link_id lor node_bit link.Topology.dst
@@ -600,7 +598,7 @@ module Make (P : PROTOCOL) = struct
         t.causal;
       let ctx = t.contexts.(id) in
       free_tick t i;
-      node.st <- Some (t.handlers.on_tick ctx (node_state node))
+      t.states.(id) <- t.handlers.on_tick ctx t.states.(id)
     end
     else free_tick t i
 
@@ -667,18 +665,18 @@ module Make (P : PROTOCOL) = struct
         t.tc_completion.(i) <- t.busy.(id);
         t.tc_inc.(i) <- chain_inc;
         ignore
-          (Engine.schedule_at t.engine ~tag ~footprint:foot_handler
+          (Engine.schedule_tagged t.engine ~tag ~footprint:foot_handler
              ~time:t.busy.(id) t.tc_run.(i));
         let next = Clock.next_tick node.clock ~after:tick_time in
         t.tick_time.(id) <- next;
         ignore
-          (Engine.schedule_at t.engine ~tag ~footprint:foot_fire ~time:next
-             fire)
+          (Engine.schedule_tagged t.engine ~tag ~footprint:foot_fire
+             ~time:next fire)
       end
     in
     t.tick_time.(id) <- Clock.next_tick node.clock ~after;
     ignore
-      (Engine.schedule_at t.engine ~tag ~footprint:foot_fire
+      (Engine.schedule_tagged t.engine ~tag ~footprint:foot_fire
          ~time:t.tick_time.(id) fire)
 
   let set_link_up t link_id up =
@@ -708,7 +706,7 @@ module Make (P : PROTOCOL) = struct
       let tnow = now t in
       t.busy.(node_id) <- tnow;
       emit t (Revive { node = node_id });
-      node.st <- Some (t.handlers.init t.contexts.(node_id));
+      t.states.(node_id) <- t.handlers.init t.contexts.(node_id);
       if t.config.ticks_enabled then start_ticks t node ~after:tnow
     end
 
@@ -764,7 +762,6 @@ module Make (P : PROTOCOL) = struct
           { id;
             node_rng;
             clock = Clock.create config.clock_spec ~rng:clock_rng;
-            st = None;
             is_crashed = false;
             incarnation = 0 })
     in
@@ -798,6 +795,7 @@ module Make (P : PROTOCOL) = struct
         config;
         handlers;
         nodes;
+        states = [||];
         contexts = [||];
         links;
         delays;
@@ -861,9 +859,7 @@ module Make (P : PROTOCOL) = struct
         tc_free = -1 }
     in
     t.contexts <- Array.map (context_builder t) nodes;
-    Array.iteri
-      (fun i node -> node.st <- Some (handlers.init t.contexts.(i)))
-      nodes;
+    t.states <- Array.map handlers.init t.contexts;
     if config.ticks_enabled then
       Array.iter (fun node -> start_ticks t node ~after:0.) nodes;
     List.iter
@@ -918,8 +914,8 @@ module Make (P : PROTOCOL) = struct
 
   let run t = Engine.run t.engine
   let counters t = Engine.counters t.engine
-  let state t i = node_state t.nodes.(i)
-  let states t = Array.map node_state t.nodes
+  let state t i = t.states.(i)
+  let states t = Array.copy t.states
   let stats t = t.net_stats
   let engine t = t.engine
   let in_flight t = t.inflight

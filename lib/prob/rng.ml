@@ -1,11 +1,25 @@
-(* xoshiro256++ with SplitMix64 seeding.  All arithmetic on int64. *)
+(* xoshiro256++ with SplitMix64 seeding.  All arithmetic on int64.
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+   The four state words live in one 32-byte [Bytes] (native endianness,
+   words at offsets 0, 8, 16, 24) rather than in mutable [int64] record
+   fields: a store into an [int64] field boxes a fresh value, so the
+   record paid four allocations per draw, while the byte primitives below
+   load and store raw machine words.  The buffer never leaves the process,
+   so endianness does not matter; [t] is abstract, so every buffer is
+   exactly 32 bytes and the unchecked accessors are safe. *)
+
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 (* SplitMix64 step: used to expand an integer seed into four well-mixed
    64-bit words, and to derive split streams.  Takes the advanced state
@@ -30,32 +44,37 @@ let of_state_seed seed64 =
   (* xoshiro must not be seeded with the all-zero state; the SplitMix64
      expansion makes that astronomically unlikely, but guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let create ~seed = of_state_seed (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+(* [next] is inlined into its callers in this module, so a draw consumed
+   here ([unit_float], [bool], [int]) never boxes its [int64]. *)
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 8 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 16 (Int64.logxor s2 tmp);
+  set t 24 (rotl s3 45);
   result
 
-let split t = of_state_seed (bits64 t)
+let bits64 t = next t
 
-let unit_float t =
+let split t = of_state_seed (next t)
+
+let[@inline] unit_float t =
   (* Top 53 bits, scaled to [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
 let float t bound =
@@ -79,7 +98,7 @@ let int t bound =
     widen 1L
   in
   let rec draw () =
-    let candidate = Int64.logand (bits64 t) mask in
+    let candidate = Int64.logand (next t) mask in
     if Int64.unsigned_compare candidate bound64 < 0 then Int64.to_int candidate
     else draw ()
   in
@@ -89,7 +108,7 @@ let int_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_range: requires lo <= hi";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Rng.bernoulli: p outside [0,1]";

@@ -190,9 +190,9 @@ let free_slot t slot =
   Array.unsafe_set t.ev_next slot t.free_head;
   t.free_head <- slot
 
-(* Shared tail of [schedule]/[schedule_at]: [slot] already holds the event
-   time (written by the caller straight into the flat [ev_time] array, so
-   no float crosses a call boundary boxed).  Returns the packed handle. *)
+(* Tail of [schedule_tagged]: [slot] already holds the event time (written
+   straight into the flat [ev_time] array, so no float crosses a call
+   boundary boxed).  Returns the packed handle. *)
 let enqueue t tag foot slot action =
   let lamport =
     match t.causal with
@@ -211,7 +211,10 @@ let enqueue t tag foot slot action =
   if t.live > t.max_depth then t.max_depth <- t.live;
   (t.ev_gen.(slot) lsl slot_bits) lor slot
 
-let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
+(* The one scheduling implementation.  Tag and footprint are plain ints,
+   so a caller in another module passes them without allocating the
+   [Some] boxes the optional-argument entry points would cost. *)
+let[@inline] schedule_tagged t ~tag ~footprint ~time action =
   let time =
     if time >= t.clock.(0) then time
     else if Float.is_nan time then
@@ -227,12 +230,15 @@ let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
   t.ev_time.(slot) <- time;
   enqueue t tag footprint slot action
 
+let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
+  schedule_tagged t ~tag ~footprint ~time action
+
+(* [now + delay >= now] for any finite [delay >= 0], so the absolute-time
+   check never fires here; inlining keeps the sum unboxed. *)
 let schedule t ?(tag = -1) ?(footprint = 0) ~delay action =
   if not (delay >= 0. && Float.is_finite delay) then
     invalid_arg "Engine.schedule: delay must be non-negative and finite";
-  let slot = alloc_slot t in
-  t.ev_time.(slot) <- t.clock.(0) +. delay;
-  enqueue t tag footprint slot action
+  schedule_tagged t ~tag ~footprint ~time:(t.clock.(0) +. delay) action
 
 let cancel t id =
   let slot = id land slot_mask in

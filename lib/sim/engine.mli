@@ -149,6 +149,13 @@ val schedule_at :
     (reordering may legitimately advance the clock past a time computed
     from a deferred event). *)
 
+val schedule_tagged :
+  t -> tag:int -> footprint:int -> time:float -> (unit -> unit) -> event_id
+(** {!schedule_at} with [tag] and [footprint] given as plain ints — the
+    implementation both optional-argument entry points delegate to.  Hot
+    callers in other modules use it because an optional argument costs
+    the caller an allocated [Some] per call. *)
+
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; cancelling an executed or already-cancelled
     event is a no-op. *)

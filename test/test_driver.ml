@@ -56,6 +56,82 @@ let test_map_propagates_exception () =
   | exception Failure message -> Alcotest.(check string) "message" "boom" message
   | _ -> Alcotest.fail "worker exception not re-raised"
 
+(* Busy work whose cost the optimiser cannot drop: [iters] rounds of an
+   integer mix. *)
+let spin iters =
+  let acc = ref 0 in
+  for i = 1 to iters do
+    acc := Sys.opaque_identity ((!acc * 31) + i)
+  done;
+  !acc
+
+(* Items carry a weight: heavy ones spin 100 times longer, so claiming
+   order, not input order, decides which domain finishes what. *)
+let weighted_item (x, heavy) =
+  ignore (spin (if heavy then 100_000 else 1_000));
+  (x * 3) - 1
+
+let gen_skewed_case =
+  let open QCheck.Gen in
+  int_range 2 5 >>= fun k ->
+  oneof [ int_range 0 (k - 1); return k; int_range (k + 1) (4 * k) ]
+  >>= fun count ->
+  list_repeat count (pair small_int (map (fun r -> r = 0) (int_bound 4)))
+  >>= fun items -> return (k, items)
+
+let print_skewed_case (k, items) =
+  Printf.sprintf "k=%d items=[%s]" k
+    (String.concat "; "
+       (List.map
+          (fun (x, heavy) -> Printf.sprintf "%d%s" x (if heavy then "!" else ""))
+          items))
+
+let prop_skewed_parity =
+  QCheck.Test.make ~name:"dynamic claiming == List.map under skewed work"
+    ~count:100
+    (QCheck.make ~print:print_skewed_case gen_skewed_case)
+    (fun (k, items) ->
+       Driver.map (Driver.Parallel { num_domains = k }) weighted_item items
+       = List.map weighted_item items)
+
+(* Two items fail; the lower one spins long before raising, so the higher
+   one usually fails first in wall-clock time.  The caller must still see
+   the lower index's exception, as [List.map] raises it.  Every spawned
+   domain registers a [Domain.at_exit] hook, which runs as the domain
+   terminates; slow items past the failures keep a worker busy, so a
+   driver that re-raised before joining would return with hooks pending. *)
+let test_lowest_failure_and_join () =
+  let registered = Atomic.make 0 and exited = Atomic.make 0 in
+  let hooked = Domain.DLS.new_key (fun () -> false) in
+  let f x =
+    if (not (Domain.is_main_domain ())) && not (Domain.DLS.get hooked) then begin
+      Domain.DLS.set hooked true;
+      Atomic.incr registered;
+      Domain.at_exit (fun () -> Atomic.incr exited)
+    end;
+    if x = 3 then begin
+      ignore (spin 2_000_000);
+      failwith "item 3"
+    end
+    else if x = 7 then failwith "item 7"
+    else begin
+      ignore (spin (if x > 7 then 500_000 else 1_000));
+      x
+    end
+  in
+  List.iter
+    (fun k ->
+       (match Driver.map (Driver.Parallel { num_domains = k }) f (List.init 16 Fun.id) with
+        | exception Failure message ->
+          Alcotest.(check string)
+            (Printf.sprintf "lowest failing index at %d domains" k)
+            "item 3" message
+        | _ -> Alcotest.fail "worker exception not re-raised");
+       Alcotest.(check int)
+         (Printf.sprintf "every spawned domain joined at %d domains" k)
+         (Atomic.get registered) (Atomic.get exited))
+    [ 2; 3; 4; 5 ]
+
 let test_timed_map () =
   let results, timing = Driver.timed_map Driver.Sequential succ [ 1; 2; 3 ] in
   Alcotest.(check (list int)) "results" [ 2; 3; 4 ] results;
@@ -135,7 +211,9 @@ let () =
         [ Alcotest.test_case "matches List.map" `Quick test_map_matches_list_map;
           Alcotest.test_case "empty and tiny inputs" `Quick test_map_empty_and_tiny;
           Alcotest.test_case "exception propagation" `Quick
-            test_map_propagates_exception ] );
+            test_map_propagates_exception;
+          Alcotest.test_case "lowest failing index, all domains joined" `Quick
+            test_lowest_failure_and_join ] );
       ( "parity",
         [ Alcotest.test_case "election replicate, 2 domains" `Quick
             (election_parity (Driver.Parallel { num_domains = 2 }));
@@ -147,4 +225,5 @@ let () =
             test_synchronizer_parity;
           Alcotest.test_case "sweep" `Quick test_sweep_parity ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_map_parity ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_map_parity; prop_skewed_parity ] ) ]

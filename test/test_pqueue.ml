@@ -19,6 +19,14 @@ let model_sort entries =
     (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2))
     entries
 
+(* Ordered insert into a model already sorted by [(priority, seq)]: the
+   list [model_sort (entry :: model)] would give, in one O(length) pass
+   instead of a full re-sort per insertion. *)
+let rec model_insert ((p, s, _) as entry) = function
+  | ((p', s', _) as head) :: rest when compare (p', s') (p, s) < 0 ->
+    head :: model_insert entry rest
+  | model -> entry :: model
+
 let test_ordering () =
   let q = Pqueue.create () in
   List.iteri
@@ -164,7 +172,7 @@ let prop_interleaved_matches_model =
           | Some k ->
             let p = float_of_int k in
             Pqueue.add q ~priority:p ~seq:!seq !seq;
-            model := model_sort ((p, !seq, !seq) :: !model);
+            model := model_insert (p, !seq, !seq) !model;
             incr seq
           | None -> (
             match (!model, Pqueue.pop q) with
@@ -198,7 +206,7 @@ let prop_add_at_matches_model =
             let v = !seq in
             times.(v) <- float_of_int k;
             Pqueue.add_at q ~times ~seq:v v;
-            model := model_sort ((float_of_int k, v, v) :: !model);
+            model := model_insert (float_of_int k, v, v) !model;
             incr seq
           | None -> (
             match (!model, Pqueue.pop_value q) with

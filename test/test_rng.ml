@@ -6,6 +6,65 @@ let test_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* The stream itself is part of the determinism contract: every seeded
+   result in the repo (cram pins, pinned benchmark digests) depends on it.
+   These values were recorded from the original four-[int64]-field
+   implementation, so a change of the state's representation must leave
+   them untouched. *)
+let golden_seeds =
+  [ ( 0,
+      [ 0x53175D61490B23DFL; 0x61DA6F3DC380D507L; 0x5C0FDF91EC9A7BFCL;
+        0x02EEBF8C3BBE5E1AL; 0x7ECA04EBAF4A5EEAL; 0x0543C37757F08D9AL;
+        0xDB7490C75AB5026EL; 0xD87343E6464BC959L ] );
+    ( 1,
+      [ 0xCFC5D07F6F03C29BL; 0xBF424132963FE08DL; 0x19A37D5757AAF520L;
+        0xBF08119F05CD56D6L; 0x2F47184B86186FA4L; 0x97299FCAE7202345L;
+        0xFCA3C79508F41507L; 0x85FEA5C90363F221L ] );
+    ( 42,
+      [ 0xD0764D4F4476689FL; 0x519E4174576F3791L; 0xFBE07CFB0C24ED8CL;
+        0xB37D9F600CD835B8L; 0xCB231C3874846A73L; 0x968D9F004E50DE7DL;
+        0x201718FF221A3556L; 0x9AE94E070ED8CB46L ] ) ]
+
+let take8 rng = List.init 8 (fun _ -> Rng.bits64 rng)
+
+let test_golden_seeds () =
+  List.iter
+    (fun (seed, expected) ->
+       Alcotest.(check (list int64))
+         (Printf.sprintf "seed %d" seed)
+         expected
+         (take8 (Rng.create ~seed)))
+    golden_seeds
+
+let test_golden_split_copy () =
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int64)) "split child of seed 42"
+    [ 0x4FBBC8A5D7EE027BL; 0xCBF580142F9EED0FL; 0xE792208C7D75E47DL;
+      0x8295DB570BE22203L; 0x5F54853FCDA76513L; 0x1283BA7B2AC3B933L;
+      0x96F4D36A26A239C6L; 0xCA4124950CF55325L ]
+    (take8 child);
+  Alcotest.(check (list int64)) "parent after split"
+    [ 0x519E4174576F3791L; 0xFBE07CFB0C24ED8CL; 0xB37D9F600CD835B8L;
+      0xCB231C3874846A73L; 0x968D9F004E50DE7DL; 0x201718FF221A3556L;
+      0x9AE94E070ED8CB46L; 0x352CF3DAF095CCC7L ]
+    (take8 parent);
+  let original = Rng.create ~seed:1 in
+  ignore (Rng.bits64 original);
+  Alcotest.(check (list int64)) "copy of seed 1 after one draw"
+    [ 0xBF424132963FE08DL; 0x19A37D5757AAF520L; 0xBF08119F05CD56D6L;
+      0x2F47184B86186FA4L; 0x97299FCAE7202345L; 0xFCA3C79508F41507L;
+      0x85FEA5C90363F221L; 0x18BAE5B30D334BD0L ]
+    (take8 (Rng.copy original))
+
+let test_golden_unit_float () =
+  let rng = Rng.create ~seed:42 in
+  List.iter
+    (fun expected ->
+       Alcotest.(check (float 0.)) "unit_float" expected (Rng.unit_float rng))
+    [ 0x1.a0ec9a9e88ecdp-1; 0x1.467905d15dbccp-2; 0x1.f7c0f9f61849dp-1;
+      0x1.66fb3ec019b06p-1 ]
+
 let test_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let differs = ref false in
@@ -220,6 +279,12 @@ let () =
         [ Alcotest.test_case "same seed same stream" `Quick test_deterministic;
           Alcotest.test_case "different seeds differ" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy is independent" `Quick test_copy_independent ] );
+      ( "golden",
+        [ Alcotest.test_case "first outputs of seeds 0, 1, 42" `Quick
+            test_golden_seeds;
+          Alcotest.test_case "split and copy streams" `Quick
+            test_golden_split_copy;
+          Alcotest.test_case "unit_float" `Quick test_golden_unit_float ] );
       ( "split",
         [ Alcotest.test_case "split advances parent" `Quick test_split_changes_parent;
           Alcotest.test_case "children differ" `Quick test_split_streams_differ ] );

@@ -41,5 +41,11 @@ val next_tick : t -> after:float -> float
 (** Real time of the first integer local-clock tick strictly after the given
     real time. *)
 
+val advance_tick : t -> float array -> int -> unit
+(** [advance_tick t times i] replaces [times.(i)] with
+    [next_tick t ~after:times.(i)].  A caller that keeps tick instants in a
+    flat float array advances them in place, with no float boxed on the
+    way in or out. *)
+
 val tick_interval : t -> float
 (** Real-time spacing of local ticks, [1 /. rate]. *)

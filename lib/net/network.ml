@@ -214,7 +214,8 @@ module Make (P : PROTOCOL) = struct
      Leaves the start instant in [t.occ.(0)] and the completion instant in
      [t.busy.(id)] ([start - arrival] is queueing behind earlier work,
      [completion - start] the processing time itself); results pass
-     through flat arrays so no float is boxed on the way out. *)
+     through flat arrays so no float is boxed on the way out, and the
+     function is inlined so [arrival] is not boxed on the way in. *)
   let[@inline] occupy t node ~arrival =
     let start = Float.max arrival t.busy.(node.id) in
     let proc =
@@ -274,15 +275,15 @@ module Make (P : PROTOCOL) = struct
         Trace.recordf t.trace ~time:(now t) ~kind:"recv"
           ~source:(Trace.Node dst.id)
           "%a" P.pp_message message;
-      Option.iter
-        (fun c ->
-           let span =
-             Causal.process c ?cause:t.env_cause.(i) ~node:dst.id
-               ~label:"recv" ~t_begin:t.env_arrival.(i)
-               ~t_busy:t.env_start.(i) ~t_end:t.env_completion.(i) ()
-           in
-           Causal.set_current c (Some span))
-        t.causal;
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         let span =
+           Causal.process c ?cause:t.env_cause.(i) ~node:dst.id
+             ~label:"recv" ~t_begin:t.env_arrival.(i)
+             ~t_busy:t.env_start.(i) ~t_end:t.env_completion.(i) ()
+         in
+         Causal.set_current c (Some span));
       let ctx = t.contexts.(dst.id) in
       free_envelope t i;
       t.states.(dst.id) <- t.handlers.on_message ctx t.states.(dst.id) message
@@ -349,7 +350,7 @@ module Make (P : PROTOCOL) = struct
       ignore
         (Engine.schedule_tagged t.engine ~tag:(node_class t dst.id)
            ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
-           ~time:t.busy.(dst.id) t.env_complete.(i))
+           t.busy dst.id t.env_complete.(i))
     end
 
   let grow_env_pool t filler =
@@ -469,13 +470,13 @@ module Make (P : PROTOCOL) = struct
         Trace.recordf t.trace ~time:(now t) ~kind:"link-drop"
           ~source:(Trace.Link link_id)
           "%a" P.pp_message message;
-      Option.iter
-        (fun c ->
-           ignore
-             (Causal.transit c ~link:link_id ~src:src.id
-                ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
-                ~label:"link-drop"))
-        t.causal
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         ignore
+           (Causal.transit c ~link:link_id ~src:src.id
+              ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
+              ~label:"link-drop"))
     end
     else if loss_p > 0. && Rng.bernoulli t.loss_rngs.(link_id) loss_p
     then begin
@@ -495,13 +496,13 @@ module Make (P : PROTOCOL) = struct
           "%a" P.pp_message message;
       (* A lost message still happened causally: record a zero-length
          transit span (never marked delivered, so no flow arrow). *)
-      Option.iter
-        (fun c ->
-           ignore
-             (Causal.transit c ~link:link_id ~src:src.id
-                ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
-                ~label:"loss"))
-        t.causal
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         ignore
+           (Causal.transit c ~link:link_id ~src:src.id
+              ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
+              ~label:"loss"))
     end
     else begin
       let sent_at = now t in
@@ -519,12 +520,13 @@ module Make (P : PROTOCOL) = struct
          and stored in the envelope, whose delivery span names it as
          cause. *)
       let cause =
-        Option.map
-          (fun c ->
-             Causal.transit c ~link:link_id ~src:src.id
+        match t.causal with
+        | None -> None
+        | Some c ->
+          Some
+            (Causal.transit c ~link:link_id ~src:src.id
                ~dst:link.Topology.dst ~t_begin:sent_at ~t_end:arrival
                ~label:"msg")
-          t.causal
       in
       let i = alloc_envelope t message in
       t.env_msg.(i) <- message;
@@ -533,13 +535,16 @@ module Make (P : PROTOCOL) = struct
       t.env_dst.(i) <- link.Topology.dst;
       t.env_sent_at.(i) <- sent_at;
       t.env_cause.(i) <- cause;
+      (* The planned arrival rides in [env_arrival] until [arrive_slot]
+         overwrites it with the actual arrival instant. *)
+      t.env_arrival.(i) <- arrival;
       ignore
         (Engine.schedule_tagged t.engine ~tag:(link_class link)
            ~footprint:
              (if t.foot_on then
                 link_bit link_id lor node_bit link.Topology.dst
               else 0)
-           ~time:arrival t.env_arrive.(i))
+           t.env_arrival i t.env_arrive.(i))
     end
 
   (* Context builder: [now] and [stop] close over the network alone, so a
@@ -587,15 +592,17 @@ module Make (P : PROTOCOL) = struct
               { node = id;
                 local_time =
                   Clock.local_time node.clock ~real:t.tc_completion.(i) }));
-      Option.iter
-        (fun c ->
-           let span =
-             Causal.process c ~node:id ~label:"tick"
-               ~t_begin:t.tc_tick.(i) ~t_busy:t.tc_start.(i)
-               ~t_end:t.tc_completion.(i) ()
-           in
-           Causal.set_current c (Some span))
-        t.causal;
+      (* A [match], not [Option.iter] over a closure: the closure would be
+         allocated on every tick, recorder or not. *)
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         let span =
+           Causal.process c ~node:id ~label:"tick"
+             ~t_begin:t.tc_tick.(i) ~t_busy:t.tc_start.(i)
+             ~t_end:t.tc_completion.(i) ()
+         in
+         Causal.set_current c (Some span));
       let ctx = t.contexts.(id) in
       free_tick t i;
       t.states.(id) <- t.handlers.on_tick ctx t.states.(id)
@@ -666,18 +673,18 @@ module Make (P : PROTOCOL) = struct
         t.tc_inc.(i) <- chain_inc;
         ignore
           (Engine.schedule_tagged t.engine ~tag ~footprint:foot_handler
-             ~time:t.busy.(id) t.tc_run.(i));
-        let next = Clock.next_tick node.clock ~after:tick_time in
-        t.tick_time.(id) <- next;
+             t.busy id t.tc_run.(i));
+        Clock.advance_tick node.clock t.tick_time id;
         ignore
           (Engine.schedule_tagged t.engine ~tag ~footprint:foot_fire
-             ~time:next fire)
+             t.tick_time id fire)
       end
     in
-    t.tick_time.(id) <- Clock.next_tick node.clock ~after;
+    t.tick_time.(id) <- after;
+    Clock.advance_tick node.clock t.tick_time id;
     ignore
-      (Engine.schedule_tagged t.engine ~tag ~footprint:foot_fire
-         ~time:t.tick_time.(id) fire)
+      (Engine.schedule_tagged t.engine ~tag ~footprint:foot_fire t.tick_time
+         id fire)
 
   let set_link_up t link_id up =
     if link_id < 0 || link_id >= Array.length t.links then

@@ -78,6 +78,8 @@ type t = {
   mutable free_head : int;         (* -1 when the arena is full *)
   clock : float array;  (* length 1: a flat cell so advancing the virtual
                            clock never boxes a float *)
+  time_arg : float array;  (* length 1: where [schedule]/[schedule_at] put
+                              the time they hand to [schedule_tagged] *)
   mutable seq : int;
   mutable executed : int;
   mutable live : int;  (* pending, non-cancelled events *)
@@ -124,6 +126,7 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
     ev_next = [||];
     free_head = -1;
     clock = [| 0. |];
+    time_arg = [| 0. |];
     seq = 0;
     executed = 0;
     live = 0;
@@ -213,8 +216,11 @@ let enqueue t tag foot slot action =
 
 (* The one scheduling implementation.  Tag and footprint are plain ints,
    so a caller in another module passes them without allocating the
-   [Some] boxes the optional-argument entry points would cost. *)
-let[@inline] schedule_tagged t ~tag ~footprint ~time action =
+   [Some] boxes the optional-argument entry points would cost, and the
+   time is read from the caller's flat float array, so it crosses no call
+   boundary boxed either. *)
+let[@inline] schedule_tagged t ~tag ~footprint times index action =
+  let time = times.(index) in
   let time =
     if time >= t.clock.(0) then time
     else if Float.is_nan time then
@@ -231,14 +237,16 @@ let[@inline] schedule_tagged t ~tag ~footprint ~time action =
   enqueue t tag footprint slot action
 
 let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
-  schedule_tagged t ~tag ~footprint ~time action
+  t.time_arg.(0) <- time;
+  schedule_tagged t ~tag ~footprint t.time_arg 0 action
 
 (* [now + delay >= now] for any finite [delay >= 0], so the absolute-time
-   check never fires here; inlining keeps the sum unboxed. *)
+   check never fires here. *)
 let schedule t ?(tag = -1) ?(footprint = 0) ~delay action =
   if not (delay >= 0. && Float.is_finite delay) then
     invalid_arg "Engine.schedule: delay must be non-negative and finite";
-  schedule_tagged t ~tag ~footprint ~time:(t.clock.(0) +. delay) action
+  t.time_arg.(0) <- t.clock.(0) +. delay;
+  schedule_tagged t ~tag ~footprint t.time_arg 0 action
 
 let cancel t id =
   let slot = id land slot_mask in

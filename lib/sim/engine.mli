@@ -150,11 +150,15 @@ val schedule_at :
     from a deferred event). *)
 
 val schedule_tagged :
-  t -> tag:int -> footprint:int -> time:float -> (unit -> unit) -> event_id
-(** {!schedule_at} with [tag] and [footprint] given as plain ints — the
-    implementation both optional-argument entry points delegate to.  Hot
-    callers in other modules use it because an optional argument costs
-    the caller an allocated [Some] per call. *)
+  t -> tag:int -> footprint:int -> float array -> int -> (unit -> unit) ->
+  event_id
+(** [schedule_tagged t ~tag ~footprint times i f] is
+    [schedule_at t ~tag ~footprint ~time:times.(i) f] — the implementation
+    both optional-argument entry points delegate to.  Hot callers in other
+    modules use it because it allocates nothing on the way in: an
+    optional argument costs the caller a [Some] per call, and a [float]
+    argument a boxed float, while the time here stays in the caller's
+    flat array. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; cancelling an executed or already-cancelled

@@ -66,6 +66,19 @@ let test_next_tick_strictly_after () =
       Alcotest.failf "tick local time %g not integral" local
   done
 
+let test_advance_tick_in_place () =
+  let spec = Clock.spec ~s_low:0.5 ~s_high:2. in
+  let r = rng () in
+  for _ = 1 to 50 do
+    let c = Clock.create spec ~rng:r in
+    let times = [| -1.; Abe_prob.Rng.float r 20.; -1. |] in
+    let expected = Clock.next_tick c ~after:times.(1) in
+    Clock.advance_tick c times 1;
+    Alcotest.(check (float 0.)) "same instant as next_tick" expected times.(1);
+    Alcotest.(check (float 0.)) "neighbours untouched" (-1.) times.(0);
+    Alcotest.(check (float 0.)) "neighbours untouched" (-1.) times.(2)
+  done
+
 let test_tick_sequence_spacing () =
   let c = Clock.create Clock.perfect ~rng:(rng ()) in
   let t1 = Clock.next_tick c ~after:0. in
@@ -106,6 +119,8 @@ let () =
           Alcotest.test_case "Definition 1.2 bounds" `Quick test_definition1_bounds;
           Alcotest.test_case "inverse" `Quick test_inverse;
           Alcotest.test_case "next tick" `Quick test_next_tick_strictly_after;
+          Alcotest.test_case "advance tick in place" `Quick
+            test_advance_tick_in_place;
           Alcotest.test_case "tick spacing" `Quick test_tick_sequence_spacing;
           Alcotest.test_case "fast clock" `Quick test_fast_clock_ticks_more ] );
       ( "properties",

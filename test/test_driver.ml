@@ -96,37 +96,63 @@ let prop_skewed_parity =
 
 (* Two items fail; the lower one spins long before raising, so the higher
    one usually fails first in wall-clock time.  The caller must still see
-   the lower index's exception, as [List.map] raises it.  Every spawned
-   domain registers a [Domain.at_exit] hook, which runs as the domain
-   terminates; slow items past the failures keep a worker busy, so a
-   driver that re-raised before joining would return with hooks pending. *)
-let test_lowest_failure_and_join () =
-  let registered = Atomic.make 0 and exited = Atomic.make 0 in
-  let hooked = Domain.DLS.new_key (fun () -> false) in
+   the lower index's exception, as [List.map] raises it. *)
+let test_lowest_failure () =
   let f x =
-    if (not (Domain.is_main_domain ())) && not (Domain.DLS.get hooked) then begin
-      Domain.DLS.set hooked true;
-      Atomic.incr registered;
-      Domain.at_exit (fun () -> Atomic.incr exited)
-    end;
     if x = 3 then begin
       ignore (spin 2_000_000);
       failwith "item 3"
     end
     else if x = 7 then failwith "item 7"
     else begin
-      ignore (spin (if x > 7 then 500_000 else 1_000));
+      ignore (spin 1_000);
       x
     end
   in
   List.iter
     (fun k ->
+       match Driver.map (Driver.Parallel { num_domains = k }) f (List.init 16 Fun.id) with
+       | exception Failure message ->
+         Alcotest.(check string)
+           (Printf.sprintf "lowest failing index at %d domains" k)
+           "item 3" message
+       | _ -> Alcotest.fail "worker exception not re-raised")
+    [ 2; 3; 4; 5 ]
+
+(* The only failure is the first item the calling domain claims.  Spawned
+   domains hold their items until that claim is made, and every item they
+   claim after it is slow, so when the failure is recorded they are busy
+   on items past it.  Each spawned domain registers a [Domain.at_exit]
+   hook, which runs as the domain terminates: a driver that re-raised
+   before joining would return with hooks still pending. *)
+let test_joins_before_raising () =
+  List.iter
+    (fun k ->
+       let registered = Atomic.make 0 and exited = Atomic.make 0 in
+       let claimed = Atomic.make false in
+       let hooked = Domain.DLS.new_key (fun () -> false) in
+       let f x =
+         if Domain.is_main_domain () then begin
+           Atomic.set claimed true;
+           ignore (spin 1_000_000);
+           failwith "caller's item"
+         end
+         else begin
+           if not (Domain.DLS.get hooked) then begin
+             Domain.DLS.set hooked true;
+             Atomic.incr registered;
+             Domain.at_exit (fun () -> Atomic.incr exited)
+           end;
+           let late = Atomic.get claimed in
+           while not (Atomic.get claimed) do Domain.cpu_relax () done;
+           if late then ignore (spin 5_000_000);
+           x
+         end
+       in
        (match Driver.map (Driver.Parallel { num_domains = k }) f (List.init 16 Fun.id) with
         | exception Failure message ->
-          Alcotest.(check string)
-            (Printf.sprintf "lowest failing index at %d domains" k)
-            "item 3" message
-        | _ -> Alcotest.fail "worker exception not re-raised");
+          Alcotest.(check string) "the caller's failure" "caller's item" message
+        | _ -> Alcotest.fail "exception not re-raised");
        Alcotest.(check int)
          (Printf.sprintf "every spawned domain joined at %d domains" k)
          (Atomic.get registered) (Atomic.get exited))
@@ -212,8 +238,9 @@ let () =
           Alcotest.test_case "empty and tiny inputs" `Quick test_map_empty_and_tiny;
           Alcotest.test_case "exception propagation" `Quick
             test_map_propagates_exception;
-          Alcotest.test_case "lowest failing index, all domains joined" `Quick
-            test_lowest_failure_and_join ] );
+          Alcotest.test_case "lowest failing index" `Quick test_lowest_failure;
+          Alcotest.test_case "joins before re-raising" `Quick
+            test_joins_before_raising ] );
       ( "parity",
         [ Alcotest.test_case "election replicate, 2 domains" `Quick
             (election_parity (Driver.Parallel { num_domains = 2 }));

@@ -179,6 +179,28 @@ let test_schedule_in_past_rejected () =
          | _ -> Alcotest.fail "expected rejection of past time"));
   ignore (Engine.run engine)
 
+(* [schedule_tagged] reads the time from the caller's array slot at call
+   time: the slot can be reused at once, and an event scheduled through it
+   runs in the same (time, seq) order as one from [schedule_at]. *)
+let test_schedule_tagged () =
+  let engine = Engine.create () in
+  let times = [| 0.; 4.; 0. |] in
+  let log = ref [] in
+  let note label () = log := (label, Engine.now engine) :: !log in
+  ignore (Engine.schedule_tagged engine ~tag:0 ~footprint:0 times 1 (note "a"));
+  times.(1) <- 2.;
+  ignore (Engine.schedule_tagged engine ~tag:1 ~footprint:0 times 1 (note "b"));
+  ignore (Engine.schedule_at engine ~time:2. (note "c"));
+  ignore (Engine.run engine);
+  Alcotest.(check (list (pair string (float 0.))))
+    "order and times"
+    [ ("b", 2.); ("c", 2.); ("a", 4.) ]
+    (List.rev !log);
+  times.(2) <- 1.;
+  Alcotest.check_raises "past time"
+    (Invalid_argument "Engine.schedule_at: time must be >= now") (fun () ->
+      ignore (Engine.schedule_tagged engine ~tag:0 ~footprint:0 times 2 ignore))
+
 let test_negative_delay_rejected () =
   let engine = Engine.create () in
   Alcotest.check_raises "negative delay"
@@ -427,6 +449,7 @@ let () =
       ( "validation",
         [ Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
+          Alcotest.test_case "schedule_tagged" `Quick test_schedule_tagged;
           Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected ]
       );
       ( "properties",

@@ -1,12 +1,12 @@
 (* xoshiro256++ with SplitMix64 seeding.  All arithmetic on int64.
 
    The four state words live in one 32-byte [Bytes] (native endianness,
-   words at offsets 0, 8, 16, 24) rather than in mutable [int64] record
-   fields: a store into an [int64] field boxes a fresh value, so the
-   record paid four allocations per draw, while the byte primitives below
-   load and store raw machine words.  The buffer never leaves the process,
-   so endianness does not matter; [t] is abstract, so every buffer is
-   exactly 32 bytes and the unchecked accessors are safe. *)
+   words at offsets 0, 8, 16, 24), not in mutable [int64] record fields:
+   every store into an [int64] field boxes a fresh value, while the byte
+   primitives below load and store raw machine words, so a draw allocates
+   nothing.  The buffer never leaves the process, so endianness does not
+   matter; [t] is abstract, so every buffer is exactly 32 bytes and the
+   unchecked accessors are safe. *)
 
 type t = Bytes.t
 

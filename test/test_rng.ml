@@ -7,10 +7,9 @@ let test_deterministic () =
   done
 
 (* The stream itself is part of the determinism contract: every seeded
-   result in the repo (cram pins, pinned benchmark digests) depends on it.
-   These values were recorded from the original four-[int64]-field
-   implementation, so a change of the state's representation must leave
-   them untouched. *)
+   result in the repo (cram pins, pinned benchmark digests) depends on it,
+   so no change to the generator's state representation may move these
+   values. *)
 let golden_seeds =
   [ ( 0,
       [ 0x53175D61490B23DFL; 0x61DA6F3DC380D507L; 0x5C0FDF91EC9A7BFCL;

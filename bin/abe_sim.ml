@@ -586,9 +586,9 @@ let parity_command =
       if sim_elected = runs && real_elected = runs then Ok ()
       else Error "parity: not every run elected a leader"
     in
-    (* Leader identity at the base seed: the substrate mirrors the
-       simulator's RNG stream-split order, so a fixed seed drives the same
-       activation coins on both backends. *)
+    (* Leader identity at the base seed: both backends take their RNG
+       streams from Abe_net.Link_model, so a fixed seed drives the same
+       activation coins on both. *)
     let sim_one = Abe_core.Runner.run ~seed sim_config in
     let* real_one = Abe_substrate.Elect_real.run ~seed real_config in
     let leader_match =

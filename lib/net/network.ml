@@ -126,13 +126,9 @@ module Make (P : PROTOCOL) = struct
                                         is written without boxing *)
     mutable contexts : context array;
     links : Topology.link array;    (* by link id *)
-    delays : Delay_model.t array;   (* by link id *)
-    link_rngs : Rng.t array;        (* by link id: delay draws *)
-    loss_rngs : Rng.t array;        (* by link id: loss draws only, so that
-                                       toggling loss never shifts the delay
-                                       stream *)
+    link_model : Link_model.t;      (* delay and loss draws, link membership *)
+    drawn : float array;            (* length 2: [Link_model.draw]'s result *)
     last_delivery : float array;    (* by link id, for FIFO mode *)
-    link_up : bool array;           (* by link id: topology membership now *)
     foot_on : bool;                 (* scheduler attached: declare footprints *)
     foot_handler : int array;       (* by node id: node bit + out-link bits —
                                        everything a handler execution on the
@@ -193,7 +189,7 @@ module Make (P : PROTOCOL) = struct
      processing order).  A scheduler may interleave across classes but
      never reorders within one. *)
   let link_class (link : Topology.link) = link.Topology.id
-  let node_class t node_id = Array.length t.link_rngs + node_id
+  let node_class t node_id = Array.length t.links + node_id
 
   (* DPOR footprints: every (node, link) entity hashes to one of 62 bits —
      nodes on even bits, links on odd, so the two namespaces never collide
@@ -293,7 +289,7 @@ module Make (P : PROTOCOL) = struct
      earlier work and schedule the processing completion. *)
   let arrive_slot t i =
     let dst = t.nodes.(t.env_dst.(i)) in
-    if not t.link_up.(t.env_link.(i)) then begin
+    if not (Link_model.is_up t.link_model t.env_link.(i)) then begin
       (* The link died with this message in flight: drop at the arrival
          instant, releasing the envelope like every other exit path. *)
       t.net_stats.link_drops <- t.net_stats.link_drops + 1;
@@ -413,13 +409,6 @@ module Make (P : PROTOCOL) = struct
     t.msg_seq <- seq + 1;
     t.net_stats.sent <- t.net_stats.sent + 1;
     t.net_stats.sent_per_node.(src.id) <- t.net_stats.sent_per_node.(src.id) + 1;
-    (* The delay is drawn unconditionally, before the loss draw and from a
-       different stream, so the sequence of delays experienced by delivered
-       messages is byte-identical whether or not loss is enabled. *)
-    let delay =
-      Delay_model.sample_at t.delays.(link_id) ~now:(now t)
-        t.link_rngs.(link_id)
-    in
     let loss_p =
       match t.config.loss_schedule with
       | None -> t.config.loss_probability
@@ -435,6 +424,10 @@ module Make (P : PROTOCOL) = struct
                "Network: loss_schedule returned %g (outside [0,1]) at t=%g" p
                (now t));
         p
+    in
+    let outcome =
+      Link_model.draw t.link_model ~link:link_id ~now:(now t) ~loss:loss_p
+        t.drawn
     in
     (* Every message first enters flight (Send), and a lost one leaves it
        again immediately (Loss) — so the conservation equation holds at
@@ -452,10 +445,9 @@ module Make (P : PROTOCOL) = struct
       Trace.recordf t.trace ~time:(now t) ~kind:"send"
         ~source:(Trace.Node src.id)
         "%a" P.pp_message message;
-    if not t.link_up.(link_id) then begin
-      (* Sent into a down link: the message leaves flight immediately, with
-         no loss draw consumed — on a static topology the loss stream is
-         untouched by this branch ever existing. *)
+    match outcome with
+    | Link_model.Down ->
+      (* Sent into a down link: the message leaves flight immediately. *)
       t.net_stats.link_drops <- t.net_stats.link_drops + 1;
       t.inflight <- t.inflight - 1;
       (match t.instruments with
@@ -477,9 +469,7 @@ module Make (P : PROTOCOL) = struct
            (Causal.transit c ~link:link_id ~src:src.id
               ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
               ~label:"link-drop"))
-    end
-    else if loss_p > 0. && Rng.bernoulli t.loss_rngs.(link_id) loss_p
-    then begin
+    | Link_model.Lost ->
       t.net_stats.lost <- t.net_stats.lost + 1;
       t.inflight <- t.inflight - 1;
       (match t.instruments with
@@ -503,10 +493,9 @@ module Make (P : PROTOCOL) = struct
            (Causal.transit c ~link:link_id ~src:src.id
               ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
               ~label:"loss"))
-    end
-    else begin
+    | Link_model.Arrive ->
       let sent_at = now t in
-      let arrival = sent_at +. delay in
+      let arrival = t.drawn.(0) in
       let arrival =
         if t.config.fifo then begin
           let adjusted = Float.max arrival t.last_delivery.(link_id) in
@@ -545,7 +534,6 @@ module Make (P : PROTOCOL) = struct
                 link_bit link_id lor node_bit link.Topology.dst
               else 0)
            t.env_arrival i t.env_arrive.(i))
-    end
 
   (* Context builder: [now] and [stop] close over the network alone, so a
      single shared pair serves every node — only the closures that really
@@ -689,8 +677,8 @@ module Make (P : PROTOCOL) = struct
   let set_link_up t link_id up =
     if link_id < 0 || link_id >= Array.length t.links then
       invalid_arg "Network.set_link_up: link id out of range";
-    if t.link_up.(link_id) <> up then begin
-      t.link_up.(link_id) <- up;
+    if Link_model.is_up t.link_model link_id <> up then begin
+      Link_model.set_up t.link_model link_id up;
       emit t
         (if up then Link_up { link = t.links.(link_id) }
          else Link_down { link = t.links.(link_id) })
@@ -723,7 +711,6 @@ module Make (P : PROTOCOL) = struct
     if not (config.loss_probability >= 0. && config.loss_probability <= 1.)
     then invalid_arg "Network.create: loss_probability outside [0,1]";
     Option.iter Dist.validate config.proc_delay;
-    let master = Rng.create ~seed in
     let engine =
       Engine.create ?metrics ?scheduler ?causal ~limit_time ~limit_events
         ~wall_deadline ()
@@ -737,49 +724,24 @@ module Make (P : PROTOCOL) = struct
     let n = Topology.node_count topo in
     let link_count = Topology.link_count topo in
     let links = Topology.links topo in
-    let delays = Array.map config.delay_of_link links in
-    (* Validation is per-model, not per-link: configs overwhelmingly return
-       one shared model (or a handful) for every link, so remembering the
-       last physically-distinct model validated collapses the pass from
-       O(links) validations to O(distinct models) on uniform networks. *)
-    let last_validated = ref None in
-    Array.iteri
-      (fun i model ->
-         let seen =
-           match !last_validated with
-           | Some prev -> prev == model
-           | None -> false
-         in
-         if not seen then begin
-           (try Delay_model.validate model
-            with Invalid_argument msg ->
-              invalid_arg (Printf.sprintf "Network.create: link %d: %s" i msg));
-           last_validated := Some model
-         end)
-      delays;
-    (* Stream-split order is part of the determinism contract: link delay
-       RNGs, then per-node (handler, clock) RNGs, then per-link loss RNGs.
-       New streams must only ever be appended, or every seeded result in the
-       test suite shifts. *)
-    let link_rngs = Array.init link_count (fun _ -> Rng.split master) in
-    let nodes =
-      Array.init n (fun id ->
-          let node_rng = Rng.split master in
-          let clock_rng = Rng.split master in
-          { id;
-            node_rng;
-            clock = Clock.create config.clock_spec ~rng:clock_rng;
-            is_crashed = false;
-            incarnation = 0 })
-    in
-    let loss_rngs =
-      (* The loss streams are the LAST split block, so skipping them when
-         loss is disabled cannot shift any earlier stream — seeded results
-         are unchanged.  [send_from] only touches [loss_rngs] behind a
-         [loss_p > 0.] guard, which is impossible without a probability or
-         a schedule. *)
-      if config.loss_probability = 0. && config.loss_schedule = None then [||]
-      else Array.init link_count (fun _ -> Rng.split master)
+    (* The link model owns the stream split: link delay streams, then
+       per-node (handler, clock) streams, then the loss streams — skipped
+       when no probability or schedule can ever lose a message. *)
+    let link_model, nodes =
+      match
+        Link_model.create ~seed topo ~delay_of_link:config.delay_of_link
+          ~lossy:
+            (config.loss_probability <> 0.
+             || Option.is_some config.loss_schedule)
+          ~node:(fun id ~rng ~clock ->
+              { id;
+                node_rng = rng;
+                clock = Clock.create config.clock_spec ~rng:clock;
+                is_crashed = false;
+                incarnation = 0 })
+      with
+      | Ok created -> created
+      | Error msg -> invalid_arg ("Network.create: " ^ msg)
     in
     let instruments =
       Option.map
@@ -805,11 +767,9 @@ module Make (P : PROTOCOL) = struct
         states = [||];
         contexts = [||];
         links;
-        delays;
-        link_rngs;
-        loss_rngs;
+        link_model;
+        drawn = [| 0.; 0. |];
         last_delivery = Array.make link_count 0.;
-        link_up = Array.make link_count true;
         foot_on = scheduler <> None;
         foot_handler =
           (* Footprint masks feed the pluggable scheduler only; every read
@@ -928,7 +888,7 @@ module Make (P : PROTOCOL) = struct
   let in_flight t = t.inflight
   let crashed t i = t.nodes.(i).is_crashed
   let incarnation t i = t.nodes.(i).incarnation
-  let link_is_up t link_id = t.link_up.(link_id)
+  let link_is_up t link_id = Link_model.is_up t.link_model link_id
 
   (* Pool-occupancy introspection, for leak regression tests: slots not on
      the freelist.  O(pool) freelist walk — diagnostics, not a hot path. *)

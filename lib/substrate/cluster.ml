@@ -1,5 +1,6 @@
 open Abe_prob
 open Abe_net
+open Abe_sim
 
 type spawn_mode = Domains | Threads
 
@@ -25,15 +26,6 @@ type config = {
   wall_timeout : float;
   spawn_mode : spawn_mode;
 }
-
-let default_config ~topology ~delay =
-  { topology;
-    delay_of_link = (fun _ -> delay);
-    loss_probability = 0.;
-    clock_spec = Clock.perfect;
-    scale = 0.005;
-    wall_timeout = 60.;
-    spawn_mode = Domains }
 
 type outcome = {
   stopped : bool;
@@ -294,35 +286,16 @@ module Make (P : PROTOCOL) = struct
     | Ok n ->
       let topo = config.topology in
       let link_count = Topology.link_count topo in
-      let links = Topology.links topo in
-      let delays = Array.map config.delay_of_link links in
-      let delay_error = ref None in
-      Array.iteri
-        (fun i model ->
-           if !delay_error = None then
-             try Delay_model.validate model
-             with Invalid_argument msg ->
-               delay_error :=
-                 Some (Printf.sprintf "cluster: link %d: %s" i msg))
-        delays;
-      match !delay_error with
-      | Some msg -> Error msg
-      | None ->
-      (* Stream-split order mirrors Network.create exactly — link delay
-         RNGs, per-node (handler, clock) RNGs, per-link loss RNGs — so the
-         real backend's coin sequences match the simulator's draw for
-         draw. *)
-      let master = Rng.create ~seed in
-      let link_rngs = Array.init link_count (fun _ -> Rng.split master) in
-      let node_rngs = Array.make n master and clocks = Array.make n None in
-      for id = 0 to n - 1 do
-        let node_rng = Rng.split master in
-        let clock_rng = Rng.split master in
-        node_rngs.(id) <- node_rng;
-        clocks.(id) <- Some (Clock.create config.clock_spec ~rng:clock_rng)
-      done;
-      let clocks = Array.map Option.get clocks in
-      let loss_rngs = Array.init link_count (fun _ -> Rng.split master) in
+      (* The same link model as Network.create, so the real backend's coin
+         sequences match the simulator's draw for draw. *)
+      match
+        Link_model.create ~seed topo ~delay_of_link:config.delay_of_link
+          ~lossy:(config.loss_probability > 0.)
+          ~node:(fun _ ~rng ~clock ->
+              (rng, Clock.create config.clock_spec ~rng:clock))
+      with
+      | Error msg -> Error ("cluster: " ^ msg)
+      | Ok (link_model, node_streams) ->
       (* Broadcasting Shutdown into a closed worker end must not kill the
          process. *)
       (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -343,8 +316,8 @@ module Make (P : PROTOCOL) = struct
              w_n = n;
              w_out_degree = Topology.out_degree topo id;
              w_fd = worker_fd.(id);
-             w_rng = node_rngs.(id);
-             w_clock = clocks.(id);
+             w_rng = fst node_streams.(id);
+             w_clock = snd node_streams.(id);
              w_scale = config.scale;
              w_start_wall = start_wall;
              w_error = worker_errors.(id);
@@ -388,12 +361,32 @@ module Make (P : PROTOCOL) = struct
           | None ->
             (* ---- Router loop ---- *)
             let rstats = Rstats.create () in
-            (* Held frame: destination, encoded bytes, transit id (-1
-               when tracing is off), link id, accept instant and drawn
-               delay (both simulated units) for the fidelity monitor. *)
-            let holdq : (int * bytes * int * int * float * float) Holdq.t =
-              Holdq.create ()
+            (* Held frames: slot indices in a Pqueue keyed by (due wall
+               time, hold order), so ties release in send order.  A slot
+               holds destination, encoded bytes, transit id (-1 when
+               tracing is off), link id, accept instant and drawn delay
+               (both simulated units) for the fidelity monitor; released
+               slots are recycled through [free]. *)
+            let held = Pqueue.create () and held_seq = ref 0 in
+            let slots = ref [||] and free = ref [] in
+            let hold ~due slot =
+              let i =
+                match !free with
+                | i :: rest ->
+                  free := rest;
+                  i
+                | [] ->
+                  let i = Array.length !slots in
+                  slots := Array.append !slots (Array.make (max 16 i) slot);
+                  free :=
+                    List.init (Array.length !slots - i - 1) (( + ) (i + 1));
+                  i
+              in
+              (!slots).(i) <- slot;
+              Pqueue.add held ~priority:due ~seq:!held_seq i;
+              incr held_seq
             in
+            let drawn = [| 0.; 0. |] in
             let fidelity =
               Telemetry.Fidelity.create ?metrics ~scale:config.scale
                 ~links:link_count ()
@@ -422,7 +415,9 @@ module Make (P : PROTOCOL) = struct
                 shutdown_sent := true;
                 broadcast_shutdown ();
                 drain_deadline := Unix.gettimeofday () +. drain_grace;
-                Holdq.clear holdq;
+                Pqueue.clear held;
+                slots := [||];
+                free := [];
                 Array.fill pending 0 n 0
               end
             in
@@ -443,31 +438,27 @@ module Make (P : PROTOCOL) = struct
                     let now_units =
                       (Unix.gettimeofday () -. start_wall) /. config.scale
                     in
-                    (* Delay before loss, from separate streams — the same
-                       draw discipline as Network.send_from. *)
-                    let delay =
-                      Delay_model.sample_at delays.(link_id) ~now:now_units
-                        link_rngs.(link_id)
-                    in
-                    if
-                      config.loss_probability > 0.
-                      && Rng.bernoulli loss_rngs.(link_id)
-                           config.loss_probability
-                    then begin
+                    match
+                      Link_model.draw link_model ~link:link_id ~now:now_units
+                        ~loss:config.loss_probability drawn
+                    with
+                    | Link_model.Lost | Link_model.Down ->
+                      (* [Down] never happens: the router takes no link
+                         down. *)
                       Rstats.note_loss rstats;
                       Option.iter
                         (fun coll ->
                            Telemetry.Collector.note_loss coll ~link:link_id
                              ~src ~dst:l.Topology.dst ~trace ~now:now_units)
                         telemetry
-                    end
-                    else begin
+                    | Link_model.Arrive ->
+                      let arrival = drawn.(0) and delay = drawn.(1) in
                       let transit =
                         match telemetry with
                         | Some coll ->
                           Telemetry.Collector.note_send coll ~link:link_id
                             ~src ~dst:l.Topology.dst ~trace ~now:now_units
-                            ~due:(now_units +. delay)
+                            ~due:arrival
                         | None -> -1
                       in
                       let deliver_trace =
@@ -476,11 +467,9 @@ module Make (P : PROTOCOL) = struct
                           Some (Telemetry.Collector.deliver_trace coll transit)
                         | None -> None
                       in
-                      let due =
-                        start_wall +. ((now_units +. delay) *. config.scale)
-                      in
                       pending.(l.Topology.dst) <- pending.(l.Topology.dst) + 1;
-                      Holdq.push holdq ~due
+                      hold
+                        ~due:(start_wall +. (arrival *. config.scale))
                         ( l.Topology.dst,
                           Wire.encode
                             (Wire.Deliver
@@ -491,7 +480,6 @@ module Make (P : PROTOCOL) = struct
                           link_id,
                           now_units,
                           delay )
-                    end
                   end
                 end
               | Wire.Stop { node; at_units } ->
@@ -544,9 +532,13 @@ module Make (P : PROTOCOL) = struct
               let now = Unix.gettimeofday () in
               if not !shutdown_sent then begin
                 let rec release () =
-                  match Holdq.pop_due holdq ~now with
-                  | None -> ()
-                  | Some (dst, frame, transit, link_id, accept, target) ->
+                  match Pqueue.min_priority held with
+                  | Some due when due <= now ->
+                    let i = Pqueue.pop_value held in
+                    let dst, frame, transit, link_id, accept, target =
+                      (!slots).(i)
+                    in
+                    free := i :: !free;
                     Rstats.note_deliver rstats;
                     pending.(dst) <- Stdlib.max 0 (pending.(dst) - 1);
                     let release_units =
@@ -563,6 +555,7 @@ module Make (P : PROTOCOL) = struct
                     (try write_all router_fd.(dst) frame
                      with Unix.Unix_error _ -> ());
                     release ()
+                  | Some _ | None -> ()
                 in
                 release ();
                 if !stop_request <> None || now >= run_deadline then
@@ -573,7 +566,7 @@ module Make (P : PROTOCOL) = struct
                    Telemetry.Snapshot.maybe snap ~now:(now -. start_wall)
                      ~sent:rstats.Rstats.sent
                      ~delivered:rstats.Rstats.delivered
-                     ~lost:rstats.Rstats.lost ~in_flight:(Holdq.length holdq)
+                     ~lost:rstats.Rstats.lost ~in_flight:(Pqueue.length held)
                      ~queues:pending ~fd:fd_probe)
                 snapshots;
               if not (finished ()) then begin
@@ -583,7 +576,7 @@ module Make (P : PROTOCOL) = struct
                       (Float.min 0.05 (!drain_deadline -. Unix.gettimeofday ()))
                   else
                     let horizon =
-                      match Holdq.next_due holdq with
+                      match Pqueue.min_priority held with
                       | Some d -> Float.min d run_deadline
                       | None -> run_deadline
                     in
@@ -634,7 +627,7 @@ module Make (P : PROTOCOL) = struct
               (fun snap ->
                  Telemetry.Snapshot.final snap ~now:wall_time
                    ~sent:rstats.Rstats.sent ~delivered:rstats.Rstats.delivered
-                   ~lost:rstats.Rstats.lost ~in_flight:(Holdq.length holdq)
+                   ~lost:rstats.Rstats.lost ~in_flight:(Pqueue.length held)
                    ~queues:pending ~fd:fd_probe)
               snapshots;
             let worker_failure =

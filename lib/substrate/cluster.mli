@@ -9,13 +9,12 @@
 
     The router is the network: it owns one end of every socketpair and
     emulates ABE link behaviour in wall-clock time.  Each accepted frame
-    draws a transit delay from the link's {!Abe_net.Delay_model} (in
-    simulated-time units, converted by [scale] seconds per unit) and is
-    held in a {!Holdq} until due; per-link Bernoulli loss drops frames
-    before they are held.  RNG streams are split from the master seed in
-    {e exactly} the order [Abe_net.Network.create] uses — link delay RNGs,
-    per-node (handler, clock) RNGs, per-link loss RNGs — so a worker's
-    activation coin sequence is draw-for-draw the simulator's.
+    takes its fate from {!Abe_net.Link_model.draw} — a transit delay in
+    simulated-time units, converted by [scale] seconds per unit, or a
+    loss — and is held in a priority queue until due.  RNG streams come
+    from {!Abe_net.Link_model.create}, the split [Abe_net.Network.create]
+    uses too, so a worker's activation coin sequence is draw-for-draw the
+    simulator's.
 
     Workers tick at the integer local times of their {!Abe_net.Clock}
     (absolute wall deadlines derived from the shared start instant, so
@@ -51,11 +50,6 @@ type config = {
       (** wall seconds before the router abandons the run, > 0 *)
   spawn_mode : spawn_mode;
 }
-
-val default_config :
-  topology:Abe_net.Topology.t -> delay:Abe_net.Delay_model.t -> config
-(** No loss, perfect clocks, [scale = 0.005], [wall_timeout = 60],
-    [Domains] workers. *)
 
 type outcome = {
   stopped : bool;        (** a worker requested global stop *)

@@ -5,9 +5,12 @@ Usage: check_bench.py BASELINE CURRENT [--threshold 0.10]
        check_bench.py --real BENCH_real.json
 
 Engine mode fails (exit 1) when the raw-engine events/sec headline
-regressed by more than the threshold.  Election results are reported but
-not gated: their wall-times are dominated by setup at large n and too
-noisy on shared runners to block a merge.
+regressed by more than the threshold, or when the fast loop allocates.
+The "tick pair" row (half of its events go through the engine's
+same-instant lane) is gated the same way: its allocation always, its
+events/sec only when the baseline file has the row too.  Election results
+are reported but not gated: their wall-times are dominated by setup at
+large n and too noisy on shared runners to block a merge.
 
 Real mode (--real) shape-checks a real-backend saturation artifact:
 schema tag, every election completed, positive sustained throughput, an
@@ -99,6 +102,24 @@ def main() -> int:
     cur_alloc = cur["raw_engine"]["alloc_bytes_per_event"]
     print(f"allocation: {cur_alloc:.4f} B/event on the fast loop")
 
+    cur_pair = cur.get("raw_tick_pair")
+    base_pair = base.get("raw_tick_pair")
+    pair_drop = None
+    if cur_pair is not None:
+        print(
+            f"tick pair: {cur_pair['events_per_sec']:.3e} ev/s, "
+            f"{cur_pair['alloc_bytes_per_event']:.4f} B/event"
+        )
+        if base_pair is None:
+            print("tick pair: baseline has no row, throughput comparison skipped")
+        else:
+            base_pair_rate = base_pair["events_per_sec"]
+            pair_drop = (base_pair_rate - cur_pair["events_per_sec"]) / base_pair_rate
+            print(
+                f"tick pair: baseline {base_pair_rate:.3e} ev/s, "
+                f"change {-pair_drop:+.1%}"
+            )
+
     for el in cur.get("elections", []):
         print(
             f"election n={el['n']}: elected={el['elected']} "
@@ -117,6 +138,23 @@ def main() -> int:
         print(
             f"FAIL: fast loop allocates {cur_alloc:.2f} B/event "
             "(contract is ~0)",
+            file=sys.stderr,
+        )
+        failed = True
+    if cur_pair is None:
+        print("FAIL: current file has no raw_tick_pair row", file=sys.stderr)
+        failed = True
+    elif cur_pair["alloc_bytes_per_event"] > 1.0:
+        print(
+            f"FAIL: tick pair allocates {cur_pair['alloc_bytes_per_event']:.2f} "
+            "B/event (contract is ~0)",
+            file=sys.stderr,
+        )
+        failed = True
+    if pair_drop is not None and pair_drop > args.threshold:
+        print(
+            f"FAIL: tick pair events/sec regressed {pair_drop:.1%} "
+            f"(> {args.threshold:.0%} threshold)",
             file=sys.stderr,
         )
         failed = True

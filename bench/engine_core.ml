@@ -2,7 +2,10 @@
 
    Three measurements, matching the ROADMAP scale targets:
    - raw engine throughput: self-rescheduling event chains on a bare
-     engine (no network, no protocol), the ceiling of the fast loop;
+     engine (no network, no protocol), the ceiling of the fast loop; a
+     second "tick pair" row alternates a delay-0 completion with a delay-1
+     refire, as a tick with instantaneous processing does, so half of its
+     events take the engine's same-instant lane;
    - allocation rate on that loop via [Gc.allocated_bytes] — the
      flat-core refactor's contract is ~0 bytes per event;
    - election wall-time at ring sizes up to n = 10^6.  Huge rings run in
@@ -21,20 +24,17 @@ type raw = {
   raw_alloc_per_event : float;  (* bytes *)
 }
 
-(* [chains] independent self-rescheduling closures, each rescheduling
-   itself with a constant delay until [events] events have executed — so
-   [chains] is also the steady-state queue depth.  The per-chain closure
-   is allocated once, so steady-state scheduling cost is exactly one arena
-   slot reuse + one heap push per event.  Takes the best of [reps]
-   repetitions: wall-clock on a shared host is noisy and the best run is
-   the closest estimate of what the loop actually costs. *)
-let raw_engine ~events ~chains ~reps =
+(* [chains] independent event chains, each started by [start] on a fresh
+   engine, run until [events] events have executed — so [chains] is also
+   the steady-state queue depth.  Takes the best of [reps] repetitions:
+   wall-clock on a shared host is noisy and the best run is the closest
+   estimate of what the loop actually costs. *)
+let raw_chains ~start ~events ~chains ~reps =
   let open Abe_sim in
   let one () =
     let e = Engine.create ~limit_events:events () in
     for _ = 1 to chains do
-      let rec act () = ignore (Engine.schedule e ~delay:1.0 act) in
-      ignore (Engine.schedule e ~delay:1.0 act)
+      start e
     done;
     Gc.full_major ();
     let a0 = Gc.allocated_bytes () in
@@ -55,6 +55,24 @@ let raw_engine ~events ~chains ~reps =
     if r.raw_rate > !best.raw_rate then best := r
   done;
   !best
+
+(* Each chain reschedules itself with a constant delay.  The per-chain
+   closure is allocated once, so steady-state scheduling cost is exactly
+   one arena slot reuse + one heap push per event. *)
+let raw_engine =
+  raw_chains ~start:(fun e ->
+      let open Abe_sim in
+      let rec act () = ignore (Engine.schedule e ~delay:1.0 act) in
+      ignore (Engine.schedule e ~delay:1.0 act))
+
+(* Each chain fires, queues its completion at the same instant (delay 0),
+   and the completion queues the next firing one time unit later. *)
+let raw_tick_pair =
+  raw_chains ~start:(fun e ->
+      let open Abe_sim in
+      let rec fire () = ignore (Engine.schedule e ~delay:0. complete)
+      and complete () = ignore (Engine.schedule e ~delay:1.0 fire) in
+      ignore (Engine.schedule e ~delay:1.0 fire))
 
 type construction = {
   co_n : int;
@@ -142,7 +160,8 @@ let election ~n ~seed =
     el_seconds = dt;
     el_rate = float_of_int outcome.Abe_core.Runner.executed_events /. dt }
 
-let write_json ~quick ~raw ~sweep ~construction:co ~notes ~elections path =
+let write_json ~quick ~raw ~sweep ~tick_pair ~construction:co ~notes
+    ~elections path =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n\
@@ -155,10 +174,18 @@ let write_json ~quick ~raw ~sweep ~construction:co ~notes ~elections path =
     \    \"events_per_sec\": %.1f,\n\
     \    \"alloc_bytes_per_event\": %.4f\n\
     \  },\n\
+    \  \"raw_tick_pair\": {\n\
+    \    \"chains\": %d,\n\
+    \    \"events\": %d,\n\
+    \    \"seconds\": %.6f,\n\
+    \    \"events_per_sec\": %.1f,\n\
+    \    \"alloc_bytes_per_event\": %.4f\n\
+    \  },\n\
     \  \"raw_sweep\": [\n"
     (if quick then "quick" else "full")
     raw.raw_chains raw.raw_events raw.raw_seconds raw.raw_rate
-    raw.raw_alloc_per_event;
+    raw.raw_alloc_per_event tick_pair.raw_chains tick_pair.raw_events
+    tick_pair.raw_seconds tick_pair.raw_rate tick_pair.raw_alloc_per_event;
   List.iteri
     (fun i r ->
        Printf.fprintf oc
@@ -212,6 +239,12 @@ let run ~quick () =
     | r :: _ -> r
     | [] -> List.hd sweep
   in
+  let tick_pair = raw_tick_pair ~events ~chains:64 ~reps in
+  Fmt.pr
+    "raw tick pair: %d events, %d chains: %.3f s, %.3e events/s, %.2f \
+     B/event@."
+    tick_pair.raw_events tick_pair.raw_chains tick_pair.raw_seconds
+    tick_pair.raw_rate tick_pair.raw_alloc_per_event;
   let co_n = if quick then 100_000 else 1_000_000 in
   let co = construction ~n:co_n ~reps:(if quick then 3 else 5) in
   Fmt.pr "construction n=%d: %.3f s, %.1f B/node@." co.co_n co.co_seconds
@@ -238,5 +271,6 @@ let run ~quick () =
       sizes
   in
   let path = Bench_out.artifact "BENCH_engine.json" in
-  write_json ~quick ~raw ~sweep ~construction:co ~notes ~elections path;
+  write_json ~quick ~raw ~sweep ~tick_pair ~construction:co ~notes ~elections
+    path;
   Fmt.pr "wrote %s@." path

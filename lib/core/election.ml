@@ -25,6 +25,29 @@ let activates ~a0 ~rng state =
   | Active | Passive | Leader -> false
   | Idle -> Abe_prob.Rng.bernoulli rng (activation_probability ~a0 ~d:state.d)
 
+(* Entries are [-1.] until their [d] is first drawn at. *)
+type coin = {
+  coin_a0 : float;
+  probs : float array;
+}
+
+let coin ~a0 ~n = { coin_a0 = a0; probs = Array.make (n + 1) (-1.) }
+
+let[@inline] fill coin d =
+  if coin.probs.(d) < 0. then
+    coin.probs.(d) <- activation_probability ~a0:coin.coin_a0 ~d
+
+let coin_probability coin ~d =
+  fill coin d;
+  coin.probs.(d)
+
+let coin_activates coin ~rng state =
+  match state.phase with
+  | Active | Passive | Leader -> false
+  | Idle ->
+    fill coin state.d;
+    Abe_prob.Rng.bernoulli_at rng coin.probs state.d
+
 let tick_decision ~a0 ~rng state =
   if activates ~a0 ~rng state then ({ state with phase = Active }, true)
   else (state, false)

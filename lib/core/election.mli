@@ -64,6 +64,21 @@ val activates : a0:float -> rng:Abe_prob.Rng.t -> state -> bool
     idle node draws once from [rng]; other phases draw nothing and give
     [false]. *)
 
+type coin
+(** A per-run memo of {!activation_probability} for one [a0] and
+    [d] in [1 .. n].  Entry [d] is computed by {!activation_probability}
+    the first time it is needed, so creating a coin computes nothing. *)
+
+val coin : a0:float -> n:int -> coin
+
+val coin_probability : coin -> d:int -> float
+(** Entry [d], filled on first use: bitwise
+    [activation_probability ~a0 ~d]. *)
+
+val coin_activates : coin -> rng:Abe_prob.Rng.t -> state -> bool
+(** {!activates} through the coin: the same single draw and the same
+    result, but the probability is neither recomputed nor boxed. *)
+
 val tick_decision : a0:float -> rng:Abe_prob.Rng.t -> state -> state * bool
 (** One clock tick.  For an idle node, flips the activation coin
     ({!activates}): on success the node becomes active and must send [<1>]

@@ -92,18 +92,21 @@ type outcome = {
    [traversed] counts the links the token has actually crossed since
    emission.  Handlers never read it — only the hop-soundness check
    ([hop = traversed] on every arrival) does, so tagging cannot change the
-   execution. *)
-type token = {
-  hop : Election.message;
-  traversed : int;
-}
+   execution.  Both travel packed in one immediate, [traversed] above the
+   hop's [hop_bits], so a send allocates no record. *)
+type token = int
+
+let hop_bits = 31
+let token ~hop ~traversed = (traversed lsl hop_bits) lor hop
+let hop tok = tok land ((1 lsl hop_bits) - 1)
+let traversed tok = tok lsr hop_bits
 
 module Net = Network.Make (struct
     type state = Election.state
     type message = token
 
     let pp_state = Election.pp_state
-    let pp_message ppf tok = Election.pp_message ppf tok.hop
+    let pp_message ppf tok = Election.pp_message ppf (hop tok)
   end)
 
 (* Forwarding rule selector, for demonstrating that the oracle catches the
@@ -124,7 +127,8 @@ type counters = {
   mutable elected_at : float;
   mutable leader : int option;
   mutable elections : int;
-  mutable activation_times : float list;
+  mutable activation_times : float array;  (* growable; [activations]
+                                             entries are in use *)
   mutable mass_samples : (float * int * int) list;
   mutable phase_transitions : (float * int * Election.phase) list;
 }
@@ -179,7 +183,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
       elected_at = nan;
       leader = None;
       elections = 0;
-      activation_times = [];
+      activation_times = [||];
       mass_samples = [];
       phase_transitions = [] }
   in
@@ -338,8 +342,14 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
              let time = ctx.Net.now () in
              shadow.(ctx.Net.node) <- st';
              record_phase time ctx.Net.node st st';
-             counters.activations <- counters.activations + 1;
-             counters.activation_times <- time :: counters.activation_times;
+             let k = counters.activations in
+             if k = Array.length counters.activation_times then begin
+               let grown = Array.make (max 8 (2 * k)) 0. in
+               Array.blit counters.activation_times 0 grown 0 k;
+               counters.activation_times <- grown
+             end;
+             counters.activation_times.(k) <- time;
+             counters.activations <- k + 1;
              cmark ~node:ctx.Net.node ~time "activate";
              record (fun i ->
                  Abe_sim.Metrics.incr i.m_activations;
@@ -348,24 +358,25 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
                    (float_of_int (live_tokens ())));
              (* A fresh token starts with hop counter 1, and will have
                 traversed exactly one link when it first arrives. *)
-             ctx.Net.send 0 { hop = 1; traversed = 1 };
+             ctx.Net.send 0 (token ~hop:1 ~traversed:1);
              note_send (successor ctx.Net.node) 1;
              st'
            end);
       on_message =
         (fun ctx st tok ->
            let time = ctx.Net.now () in
-           note_recv ctx.Net.node tok.hop;
+           let hop = hop tok and traversed = traversed tok in
+           note_recv ctx.Net.node hop;
            Option.iter
              (fun o ->
-                if tok.hop <> tok.traversed then
+                if hop <> traversed then
                   Abe_sim.Oracle.reportf o ~time ~invariant:"hop-soundness"
                     ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                    "token hop %d but traversed %d links" tok.hop tok.traversed)
+                    "token hop %d but traversed %d links" hop traversed)
              oracle;
            record (fun i ->
-               Abe_sim.Metrics.observe i.m_token_hops (float_of_int tok.hop));
-           let st', reaction = Election.receive ~n:config.n st tok.hop in
+               Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
+           let st', reaction = Election.receive ~n:config.n st hop in
            shadow.(ctx.Net.node) <- st';
            record_phase time ctx.Net.node st st';
            (match reaction with
@@ -377,7 +388,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
                 sample_mass time
               end;
               (match forwarding with
-               | Drop_token when tok.traversed >= 2 ->
+               | Drop_token when traversed >= 2 ->
                  (* Seeded liveness bug: the token dies here instead of
                     continuing around the ring. *)
                  ()
@@ -387,7 +398,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
                    | Paper | Drop_token -> hop'
                    | Stale_max -> min config.n (st'.Election.d + 1)
                  in
-                 ctx.Net.send 0 { hop = out_hop; traversed = tok.traversed + 1 };
+                 ctx.Net.send 0 (token ~hop:out_hop ~traversed:(traversed + 1));
                  note_send (successor ctx.Net.node) out_hop)
             | Election.Purge ->
               counters.purges <- counters.purges + 1;
@@ -402,15 +413,15 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
               record (fun i ->
                   Abe_sim.Metrics.set_gauge i.m_elected_at time;
                   Abe_sim.Metrics.set_gauge i.m_hops_at_election
-                    (float_of_int tok.traversed));
+                    (float_of_int traversed));
               Option.iter
                 (fun o ->
-                   if tok.traversed <> config.n then
+                   if traversed <> config.n then
                      Abe_sim.Oracle.reportf o ~time
                        ~invariant:"election-soundness"
                        ~subject:(Printf.sprintf "node %d" ctx.Net.node)
                        "elected by a token that traversed %d of %d links"
-                       tok.traversed config.n;
+                       traversed config.n;
                    if counters.elections > 1 then
                      Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
                        ~subject:(Printf.sprintf "node %d" ctx.Net.node)
@@ -515,7 +526,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
     knockouts = counters.knockouts;
     purges = counters.purges;
     ticks = stats.Network.ticks;
-    activation_times = Array.of_list (List.rev counters.activation_times);
+    activation_times = Array.sub counters.activation_times 0 counters.activations;
     mass_samples = Array.of_list (List.rev counters.mass_samples);
     phase_transitions = Array.of_list (List.rev counters.phase_transitions);
     executed_events = engine_counters.Abe_sim.Engine.executed;
@@ -527,9 +538,10 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
 
 let run ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed config =
+  let coin = Election.coin ~a0:config.a0 ~n:config.n in
   run_with ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed config
-    ~activates:(fun ~rng st -> Election.activates ~a0:config.a0 ~rng st)
+    ~activates:(fun ~rng st -> Election.coin_activates coin ~rng st)
 
 (* Ablation: constant activation probability, ignoring d. *)
 let run_naive ?trace ?metrics ?scheduler ?causal ?check ?forwarding

@@ -110,9 +110,13 @@ let int_range t ~lo ~hi =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let bernoulli t p =
+let[@inline] bernoulli t p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Rng.bernoulli: p outside [0,1]";
   unit_float t < p
+
+(* [bernoulli] inlined here, so [p] goes from the array to the compare
+   without being boxed. *)
+let bernoulli_at t ps i = bernoulli t ps.(i)
 
 let exponential t ~mean =
   if not (mean > 0.) then invalid_arg "Rng.exponential: mean must be positive";

@@ -52,6 +52,11 @@ val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p].  Requires
     [0. <= p <= 1.]. *)
 
+val bernoulli_at : t -> float array -> int -> bool
+(** [bernoulli_at t ps i] is [bernoulli t ps.(i)]: the same check, the same
+    single draw, the same result.  Hot callers use it because [p] stays in
+    the flat array instead of being boxed on the way in. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean ([mean > 0]). *)
 

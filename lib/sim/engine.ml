@@ -11,7 +11,20 @@
    all; the instrumented loop carries the full observation surface
    (metrics, observer, causal announcements) and the scheduler variant on
    top of that.  Both pop in identical [(time, seq)] order, so executions
-   are byte-identical across loop choices. *)
+   are byte-identical across loop choices.
+
+   Same-instant lane.  With instantaneous processing, half of all events
+   are scheduled at exactly the current clock value (a message arrival's
+   or tick's completion).  Without a scheduler such an event skips the
+   heap and joins a FIFO ring of arena slots, the lane.  [pop_live_slot]
+   takes the heap root only when it is due at the current instant, else
+   the lane head, and the heap when the lane is empty.  That is exactly
+   [(time, seq)] order: an event enters the heap only while its time is
+   later than the clock, so any heap event due at the current instant was
+   scheduled before the clock reached it and has a lower [seq] than every
+   lane event; lane events are all at the current instant, in [seq]
+   order; and the clock only advances through a heap pop, which happens
+   when the lane is empty. *)
 
 type candidate = {
   c_time : float;
@@ -65,6 +78,12 @@ let null_action () = ()
 
 type t = {
   queue : Pqueue.t;
+  (* Same-instant lane: a ring of arena slots, all due at the current
+     clock value, in scheduling order.  Power-of-two capacity, allocated
+     on first use; never used under a scheduler. *)
+  mutable lane : int array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   (* Event arena (SoA).  All arrays share the same capacity. *)
   mutable ev_time : float array;
   mutable ev_action : (unit -> unit) array;
@@ -115,6 +134,9 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
       metrics
   in
   { queue = Pqueue.create ();
+    lane = [||];
+    lane_head = 0;
+    lane_len = 0;
     ev_time = [||];
     ev_action = [||];
     ev_tag = [||];
@@ -193,6 +215,30 @@ let free_slot t slot =
   Array.unsafe_set t.ev_next slot t.free_head;
   t.free_head <- slot
 
+(* Double the lane, unrolling the ring so the head lands at index 0. *)
+let grow_lane t =
+  let old = Array.length t.lane in
+  let lane = Array.make (max 64 (2 * old)) 0 in
+  for i = 0 to t.lane_len - 1 do
+    Array.unsafe_set lane i
+      (Array.unsafe_get t.lane ((t.lane_head + i) land (old - 1)))
+  done;
+  t.lane <- lane;
+  t.lane_head <- 0
+
+let lane_push t slot =
+  if t.lane_len = Array.length t.lane then grow_lane t;
+  Array.unsafe_set t.lane
+    ((t.lane_head + t.lane_len) land (Array.length t.lane - 1))
+    slot;
+  t.lane_len <- t.lane_len + 1
+
+let lane_pop t =
+  let slot = Array.unsafe_get t.lane t.lane_head in
+  t.lane_head <- (t.lane_head + 1) land (Array.length t.lane - 1);
+  t.lane_len <- t.lane_len - 1;
+  slot
+
 (* Tail of [schedule_tagged]: [slot] already holds the event time (written
    straight into the flat [ev_time] array, so no float crosses a call
    boundary boxed).  Returns the packed handle. *)
@@ -208,7 +254,11 @@ let enqueue t tag foot slot action =
   Array.unsafe_set t.ev_eseq slot t.seq;
   Array.unsafe_set t.ev_lamport slot lamport;
   Array.unsafe_set t.ev_state slot st_live;
-  Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot;
+  if
+    t.scheduler == None
+    && Array.unsafe_get t.ev_time slot = Array.unsafe_get t.clock 0
+  then lane_push t slot
+  else Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   if t.live > t.max_depth then t.max_depth <- t.live;
@@ -293,9 +343,19 @@ let announce t ~time slot =
       ~time
 
 (* Pop arena slots until a non-cancelled one is found ([-1] when drained);
-   cancelled slots are collected back into the freelist here. *)
+   cancelled slots are collected back into the freelist here.  A heap root
+   due at the current instant goes before the lane (see the header). *)
 let rec pop_live_slot t =
-  let slot = Pqueue.pop_value t.queue in
+  let slot =
+    if t.lane_len = 0 then Pqueue.pop_value t.queue
+    else
+      let root = Pqueue.min_value t.queue in
+      if
+        root >= 0
+        && Array.unsafe_get t.ev_time root = Array.unsafe_get t.clock 0
+      then Pqueue.pop_value t.queue
+      else lane_pop t
+  in
   if slot < 0 then -1
   else if Array.unsafe_get t.ev_state slot = st_cancelled then begin
     free_slot t slot;

@@ -68,6 +68,41 @@ let test_tick_idle_activation_rate () =
   Alcotest.(check bool) "rate matches formula" true
     (Float.abs (rate -. expected) < 0.005)
 
+(* The coin memoises [activation_probability]: every entry is bitwise the
+   formula's value, and a coin tick draws and decides exactly as
+   [activates] does, phase by phase and [d] by [d]. *)
+let test_coin_matches_formula () =
+  List.iter
+    (fun (a0, n) ->
+       let coin = Election.coin ~a0 ~n in
+       for d = n downto 1 do
+         Alcotest.(check int64)
+           (Printf.sprintf "a0 %g, d %d" a0 d)
+           (Int64.bits_of_float (Election.activation_probability ~a0 ~d))
+           (Int64.bits_of_float (Election.coin_probability coin ~d))
+       done)
+    [ (0.3, 16); (1. /. 16384., 128); (0.999, 7) ]
+
+let test_coin_activates_as_activates () =
+  let n = 12 and a0 = 0.05 in
+  let coin = Election.coin ~a0 ~n in
+  let a = Abe_prob.Rng.create ~seed:9 in
+  let b = Abe_prob.Rng.copy a in
+  for round = 1 to 50 do
+    List.iter
+      (fun phase ->
+         for d = 1 to n do
+           let st = state phase d in
+           Alcotest.(check bool)
+             (Printf.sprintf "round %d, d %d" round d)
+             (Election.activates ~a0 ~rng:a st)
+             (Election.coin_activates coin ~rng:b st)
+         done)
+      [ Election.Idle; Election.Active; Election.Passive; Election.Leader ]
+  done;
+  Alcotest.(check int64) "same draws" (Abe_prob.Rng.bits64 a)
+    (Abe_prob.Rng.bits64 b)
+
 let test_receive_idle_becomes_passive () =
   let st, reaction = Election.receive ~n:8 (state Election.Idle 1) 3 in
   check_state "passive with watermark" (state Election.Passive 3) st;
@@ -236,7 +271,11 @@ let () =
           Alcotest.test_case "only idle activates" `Quick
             test_tick_only_idle_activates;
           Alcotest.test_case "activation rate" `Quick
-            test_tick_idle_activation_rate ] );
+            test_tick_idle_activation_rate;
+          Alcotest.test_case "coin entries are the formula" `Quick
+            test_coin_matches_formula;
+          Alcotest.test_case "coin draws as activates" `Quick
+            test_coin_activates_as_activates ] );
       ( "receive",
         [ Alcotest.test_case "idle -> passive" `Quick
             test_receive_idle_becomes_passive;

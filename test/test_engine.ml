@@ -400,6 +400,265 @@ let test_wall_deadline_past_exits_promptly () =
   Alcotest.(check bool) "at most one probe interval of events" true
     (Engine.executed_events engine <= 1025)
 
+(* Order model: random programs run on the engine and on a reference
+   queue that is a plain list scanned for the least [(time, seq)].  The two
+   must execute the same events at the same instants and answer every
+   [run]/[step] the same way.  The programs schedule at delay 0 (the
+   same-instant lane), at positive delays and at shared absolute times
+   from inside other events, cancel live and stale handles, stop, and hit
+   both budgets; each is driven through [run] and [step], on the fast
+   loop, the observed loop and a window-0 scheduler that always picks the
+   earliest candidate. *)
+
+type op =
+  | Delay of float * int  (* schedule program [p] after [delay] *)
+  | At of float * int     (* schedule program [p] at [max now time] *)
+  | Cancel of int         (* cancel handle [k mod handles so far] *)
+  | Stop
+
+type drive = Run | Step
+
+type mode = Fast | Observed | Scheduled
+
+type program = {
+  bodies : op list array;  (* what an event of program [p] does *)
+  initial : op list;       (* done before the first [run] or [step] *)
+  drives : drive list;     (* cycled until nothing is pending *)
+  limit_events : int;
+  limit_time : float;
+  mode : mode;
+}
+
+(* What the interpreter needs from either queue. *)
+type 'h backend = {
+  now : unit -> float;
+  after : float -> (unit -> unit) -> 'h;
+  at : float -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  stop : unit -> unit;
+  run : unit -> string;
+  step : unit -> bool;
+  pending : unit -> int;
+}
+
+(* Enough to exercise every path, and a bound that keeps programs finite. *)
+let max_spawned = 120
+
+let execute_program prog be =
+  let log = ref [] in
+  let handles = Hashtbl.create 64 in
+  let spawned = ref 0 in
+  let rec exec ops = List.iter op ops
+  and op = function
+    | Delay (delay, p) -> spawn p (fun act -> be.after delay act)
+    | At (time, p) -> spawn p (fun act -> be.at (Float.max (be.now ()) time) act)
+    | Cancel k ->
+      if !spawned > 0 then be.cancel (Hashtbl.find handles (k mod !spawned))
+    | Stop -> be.stop ()
+  and spawn p schedule =
+    if !spawned < max_spawned then begin
+      let id = !spawned in
+      incr spawned;
+      let action () =
+        log := Printf.sprintf "event %d at %g" id (be.now ()) :: !log;
+        exec prog.bodies.(p)
+      in
+      Hashtbl.replace handles id (schedule action)
+    end
+  in
+  exec prog.initial;
+  let drives = Array.of_list prog.drives in
+  let rec drive i =
+    if be.pending () > 0 && i < 20 * max_spawned then begin
+      let result =
+        match drives.(i mod Array.length drives) with
+        | Run -> "run " ^ be.run ()
+        | Step -> Printf.sprintf "step %b" (be.step ())
+      in
+      log := Printf.sprintf "%s, %d pending" result (be.pending ()) :: !log;
+      drive (i + 1)
+    end
+  in
+  drive 0;
+  List.rev !log
+
+let string_of_outcome = function
+  | Engine.Drained -> "drained"
+  | Engine.Stopped -> "stopped"
+  | Engine.Hit_time_limit -> "time limit"
+  | Engine.Hit_event_limit -> "event limit"
+  | Engine.Hit_wall_deadline -> "wall deadline"
+
+let on_engine prog =
+  let scheduler =
+    match prog.mode with
+    | Scheduled ->
+      Some
+        { Engine.window = 0.;
+          choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
+    | Fast | Observed -> None
+  in
+  let e =
+    Engine.create ?scheduler ~limit_events:prog.limit_events
+      ~limit_time:prog.limit_time ()
+  in
+  if prog.mode = Observed then Engine.set_observer e ignore;
+  execute_program prog
+    { now = (fun () -> Engine.now e);
+      after = (fun delay act -> Engine.schedule e ~delay act);
+      at = (fun time act -> Engine.schedule_at e ~time act);
+      cancel = Engine.cancel e;
+      stop = (fun () -> Engine.stop e);
+      run = (fun () -> string_of_outcome (Engine.run e));
+      step = (fun () -> Engine.step e);
+      pending = (fun () -> Engine.pending_events e) }
+
+(* The reference: every pending event in one list, the next one found by a
+   linear scan for the least (time, seq).  Handles are sequence numbers. *)
+type entry = { e_time : float; e_seq : int; e_action : unit -> unit }
+
+let on_model prog =
+  let clock = ref 0. and seq = ref 0 and pending = ref [] in
+  let stop_requested = ref false and executed = ref 0 in
+  let add time action =
+    let s = !seq in
+    incr seq;
+    pending := { e_time = time; e_seq = s; e_action = action } :: !pending;
+    s
+  in
+  let first () =
+    List.fold_left
+      (fun best e ->
+         match best with
+         | Some b when (b.e_time, b.e_seq) <= (e.e_time, e.e_seq) -> best
+         | _ -> Some e)
+      None !pending
+  in
+  let fire e =
+    pending := List.filter (fun x -> x.e_seq <> e.e_seq) !pending;
+    clock := e.e_time;
+    incr executed;
+    e.e_action ()
+  in
+  let rec run () =
+    if !stop_requested then "stopped"
+    else if !executed >= prog.limit_events then "event limit"
+    else
+      match first () with
+      | None -> "drained"
+      | Some e when e.e_time > prog.limit_time -> "time limit"
+      | Some e ->
+        fire e;
+        run ()
+  in
+  execute_program prog
+    { now = (fun () -> !clock);
+      after = (fun delay act -> add (!clock +. delay) act);
+      at = add;
+      cancel =
+        (fun s -> pending := List.filter (fun x -> x.e_seq <> s) !pending);
+      stop = (fun () -> stop_requested := true);
+      run =
+        (fun () ->
+           stop_requested := false;
+           run ());
+      step =
+        (fun () ->
+           match first () with
+           | None -> false
+           | Some e ->
+             fire e;
+             true);
+      pending = (fun () -> List.length !pending) }
+
+let gen_program =
+  let open QCheck.Gen in
+  let* n_bodies = int_range 1 6 in
+  let gen_op =
+    frequency
+      [ (4, map2 (fun d p -> Delay (d, p))
+             (oneofl [ 0.; 0.; 0.5; 1.; 2. ]) (int_bound (n_bodies - 1)));
+        (2, map2 (fun t p -> At (t, p))
+             (oneofl [ 0.; 1.; 2.; 3. ]) (int_bound (n_bodies - 1)));
+        (1, map (fun k -> Cancel k) (int_bound 50));
+        (1, return Stop) ]
+  in
+  let* bodies = array_size (return n_bodies) (list_size (int_bound 4) gen_op) in
+  let* initial = list_size (int_range 1 6) gen_op in
+  let* drives = list_size (int_bound 4) (oneofl [ Run; Step ]) in
+  let* limit_events =
+    frequency [ (2, return max_int); (1, int_range 1 60) ]
+  in
+  let* limit_time = oneofl [ infinity; 1.5; 3. ] in
+  let+ mode = oneofl [ Fast; Observed; Scheduled ] in
+  { bodies; initial; drives = drives @ [ Step ]; limit_events; limit_time;
+    mode }
+
+let print_program prog =
+  let op = function
+    | Delay (d, p) -> Printf.sprintf "after %g: p%d" d p
+    | At (t, p) -> Printf.sprintf "at %g: p%d" t p
+    | Cancel k -> Printf.sprintf "cancel h%d" k
+    | Stop -> "stop"
+  in
+  let ops l = "[" ^ String.concat "; " (List.map op l) ^ "]" in
+  Printf.sprintf "mode %s, limit_events %d, limit_time %g, drives [%s]\ninitial %s\n%s"
+    (match prog.mode with
+     | Fast -> "fast" | Observed -> "observed" | Scheduled -> "scheduled")
+    prog.limit_events prog.limit_time
+    (String.concat "; "
+       (List.map (function Run -> "run" | Step -> "step") prog.drives))
+    (ops prog.initial)
+    (String.concat "\n"
+       (Array.to_list (Array.mapi (fun i b -> Printf.sprintf "p%d %s" i (ops b))
+                         prog.bodies)))
+
+let prop_matches_order_model =
+  QCheck.Test.make ~name:"engine matches the (time, seq) list model"
+    ~count:1000
+    (QCheck.make ~print:print_program gen_program)
+    (fun prog ->
+       let got = on_engine prog and want = on_model prog in
+       if got <> want then
+         QCheck.Test.fail_reportf "engine:\n%s\nmodel:\n%s"
+           (String.concat "\n" got) (String.concat "\n" want);
+       true)
+
+(* Each chain alternates a completion at the current instant (the lane)
+   with a refire one time unit later (the heap), the pattern of a tick
+   with instantaneous processing; [second] = 0 keeps a chain in the lane
+   for good.  After a warm-up that sizes the arena and the lane, the fast
+   loop must allocate nothing. *)
+let test_same_instant_chain_allocates_nothing () =
+  List.iter
+    (fun second ->
+       let engine = Engine.create () in
+       let count = ref 0 and stop_at = ref 1_000 in
+       for _ = 1 to 16 do
+         let rec complete () =
+           tally ();
+           ignore (Engine.schedule engine ~delay:second refire)
+         and refire () =
+           tally ();
+           ignore (Engine.schedule engine ~delay:0. complete)
+         and tally () =
+           incr count;
+           if !count = !stop_at then Engine.stop engine
+         in
+         ignore (Engine.schedule engine ~delay:0. refire)
+       done;
+       ignore (Engine.run engine);
+       stop_at := 201_000;
+       let w0 = Gc.minor_words () in
+       let outcome = Engine.run engine in
+       let w1 = Gc.minor_words () in
+       Alcotest.(check bool) "stopped" true (outcome = Engine.Stopped);
+       let bytes_per_event = (w1 -. w0) *. 8. /. 200_000. in
+       Alcotest.(check bool)
+         (Printf.sprintf "second delay %g: %.4f B/event" second bytes_per_event)
+         true (bytes_per_event < 0.01))
+    [ 1.; 0. ]
+
 let () =
   Alcotest.run "engine"
     [ ( "ordering",
@@ -416,7 +675,9 @@ let () =
             test_stale_handle_misses_recycled_slot ] );
       ( "arena",
         [ Alcotest.test_case "executed action is released" `Quick
-            test_executed_action_released ] );
+            test_executed_action_released;
+          Alcotest.test_case "same-instant chain allocates nothing" `Quick
+            test_same_instant_chain_allocates_nothing ] );
       ( "control",
         [ Alcotest.test_case "stop and resume" `Quick test_stop_and_resume;
           Alcotest.test_case "event limit" `Quick test_event_limit;
@@ -453,4 +714,5 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected ]
       );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_many_events_ordered ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_many_events_ordered; prop_matches_order_model ] ) ]

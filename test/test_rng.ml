@@ -64,6 +64,17 @@ let test_golden_unit_float () =
     [ 0x1.a0ec9a9e88ecdp-1; 0x1.467905d15dbccp-2; 0x1.f7c0f9f61849dp-1;
       0x1.66fb3ec019b06p-1 ]
 
+(* [bernoulli_at] consumes exactly the draw [bernoulli] would: on seed 42
+   the four draws are the golden [unit_float]s above (0.814, 0.319, 0.984,
+   0.703), and the word after them is the fifth golden word of seed 42. *)
+let test_golden_bernoulli_at () =
+  let rng = Rng.create ~seed:42 in
+  let ps = [| 0.9; 0.3; 0.99; 0.7 |] in
+  Alcotest.(check (list bool)) "bernoulli_at"
+    [ true; false; true; false ]
+    (List.init 4 (Rng.bernoulli_at rng ps));
+  Alcotest.(check int64) "one draw each" 0xCB231C3874846A73L (Rng.bits64 rng)
+
 let test_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let differs = ref false in
@@ -238,6 +249,13 @@ let test_invalid_args () =
   Alcotest.check_raises "bernoulli 1.5"
     (Invalid_argument "Rng.bernoulli: p outside [0,1]") (fun () ->
         ignore (Rng.bernoulli rng 1.5));
+  List.iter
+    (fun p ->
+       Alcotest.check_raises
+         (Printf.sprintf "bernoulli_at %g" p)
+         (Invalid_argument "Rng.bernoulli: p outside [0,1]") (fun () ->
+           ignore (Rng.bernoulli_at rng [| 0.5; p |] 1)))
+    [ 1.5; -0.1; Float.nan ];
   Alcotest.check_raises "geometric 0"
     (Invalid_argument "Rng.geometric: p outside (0,1]") (fun () ->
         ignore (Rng.geometric rng ~p:0.));
@@ -265,6 +283,17 @@ let prop_float_in_bounds =
        let v = Rng.float rng bound in
        v >= 0. && v < bound)
 
+let prop_bernoulli_at_is_bernoulli =
+  QCheck.Test.make ~name:"bernoulli_at draws what bernoulli draws"
+    ~count:1000
+    QCheck.(pair int (float_bound_inclusive 1.))
+    (fun (seed, p) ->
+       let a = Rng.create ~seed in
+       let b = Rng.copy a in
+       let ps = [| Float.nan; p |] in
+       Rng.bernoulli_at a ps 1 = Rng.bernoulli b p
+       && Rng.bits64 a = Rng.bits64 b)
+
 let prop_geometric_at_least_one =
   QCheck.Test.make ~name:"geometric >= 1" ~count:1000
     QCheck.(pair small_int (float_range 0.01 1.))
@@ -283,7 +312,8 @@ let () =
             test_golden_seeds;
           Alcotest.test_case "split and copy streams" `Quick
             test_golden_split_copy;
-          Alcotest.test_case "unit_float" `Quick test_golden_unit_float ] );
+          Alcotest.test_case "unit_float" `Quick test_golden_unit_float;
+          Alcotest.test_case "bernoulli_at" `Quick test_golden_bernoulli_at ] );
       ( "split",
         [ Alcotest.test_case "split advances parent" `Quick test_split_changes_parent;
           Alcotest.test_case "children differ" `Quick test_split_streams_differ ] );
@@ -305,5 +335,6 @@ let () =
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_int_in_bounds; prop_float_in_bounds; prop_geometric_at_least_one ]
+          [ prop_int_in_bounds; prop_float_in_bounds; prop_geometric_at_least_one;
+            prop_bernoulli_at_is_bernoulli ]
       ) ]

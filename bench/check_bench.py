@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Compare a freshly generated BENCH_engine.json against the committed baseline.
+"""Compare two BENCH_engine.json files measured on the same host.
 
-Usage: check_bench.py BASELINE CURRENT [--threshold 0.10]
+Usage: check_bench.py PARENT CANDIDATE [--threshold 0.10]
        check_bench.py --real BENCH_real.json
 
-Engine mode fails (exit 1) when the raw-engine events/sec headline
-regressed by more than the threshold, or when the fast loop allocates.
-The "tick pair" row (half of its events go through the engine's
-same-instant lane) is gated the same way: its allocation always, its
-events/sec only when the baseline file has the row too.  Election results
-are reported but not gated: their wall-times are dominated by setup at
-large n and too noisy on shared runners to block a merge.
+PARENT is the parent commit's file and CANDIDATE the change's, both
+generated on this host (a file committed from another host is not
+comparable).  Engine mode fails (exit 1) when the raw-engine events/sec
+headline regressed by more than the threshold, or when the fast loop
+allocates.  The other raw rows are gated the same way: each must be
+present and allocate at most 1 B/event, and its events/sec is compared
+only when the parent file has the row too.  The rows cover the engine's
+three queues: "tick pair" (half of its events take the same-instant
+lane), "ticking ring" (a null-protocol ring's tick chains: the lane and
+the run) and "random delay" (exponential delays: the heap and the
+run-tail eviction).  Election results are reported but not gated: their
+wall-times are dominated by setup at large n and too noisy on shared
+runners to block a merge.
 
 Real mode (--real) shape-checks a real-backend saturation artifact:
 schema tag, every election completed, positive sustained throughput, an
@@ -22,6 +28,8 @@ import json
 import math
 import sys
 
+# Raw rows gated beside the raw_engine headline (see the module docstring).
+ROWS = ("raw_tick_pair", "raw_ticking_ring", "raw_random_delay")
 
 def check_real(path: str) -> int:
     with open(path) as f:
@@ -76,8 +84,8 @@ def main() -> int:
         return check_real(real_args[0])
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed BENCH_engine.json")
-    parser.add_argument("current", help="freshly generated BENCH_engine.json")
+    parser.add_argument("baseline", help="the parent commit's BENCH_engine.json")
+    parser.add_argument("current", help="the candidate's BENCH_engine.json")
     parser.add_argument(
         "--threshold",
         type=float,
@@ -91,6 +99,13 @@ def main() -> int:
     with open(args.current) as f:
         cur = json.load(f)
 
+    failed = False
+
+    def fail(message: str) -> None:
+        nonlocal failed
+        print(f"FAIL: {message}", file=sys.stderr)
+        failed = True
+
     base_rate = base["raw_engine"]["events_per_sec"]
     cur_rate = cur["raw_engine"]["events_per_sec"]
     drop = (base_rate - cur_rate) / base_rate
@@ -98,26 +113,38 @@ def main() -> int:
         f"raw engine: baseline {base_rate:.3e} ev/s, "
         f"current {cur_rate:.3e} ev/s, change {-drop:+.1%}"
     )
-
+    if drop > args.threshold:
+        fail(f"events/sec regressed {drop:.1%} (> {args.threshold:.0%} threshold)")
     cur_alloc = cur["raw_engine"]["alloc_bytes_per_event"]
     print(f"allocation: {cur_alloc:.4f} B/event on the fast loop")
+    if cur_alloc > 1.0:
+        fail(f"fast loop allocates {cur_alloc:.2f} B/event (contract is ~0)")
 
-    cur_pair = cur.get("raw_tick_pair")
-    base_pair = base.get("raw_tick_pair")
-    pair_drop = None
-    if cur_pair is not None:
+    for key in ROWS:
+        label = key.removeprefix("raw_").replace("_", " ")
+        row = cur.get(key)
+        if row is None:
+            fail(f"current file has no {key} row")
+            continue
+        alloc = row["alloc_bytes_per_event"]
+        print(f"{label}: {row['events_per_sec']:.3e} ev/s, {alloc:.4f} B/event")
+        if alloc > 1.0:
+            fail(f"{label} allocates {alloc:.2f} B/event (contract is ~0)")
+        base_row = base.get(key)
+        if base_row is None:
+            print(f"{label}: baseline has no row, throughput comparison skipped")
+            continue
+        row_drop = (base_row["events_per_sec"] - row["events_per_sec"]) / base_row[
+            "events_per_sec"
+        ]
         print(
-            f"tick pair: {cur_pair['events_per_sec']:.3e} ev/s, "
-            f"{cur_pair['alloc_bytes_per_event']:.4f} B/event"
+            f"{label}: baseline {base_row['events_per_sec']:.3e} ev/s, "
+            f"change {-row_drop:+.1%}"
         )
-        if base_pair is None:
-            print("tick pair: baseline has no row, throughput comparison skipped")
-        else:
-            base_pair_rate = base_pair["events_per_sec"]
-            pair_drop = (base_pair_rate - cur_pair["events_per_sec"]) / base_pair_rate
-            print(
-                f"tick pair: baseline {base_pair_rate:.3e} ev/s, "
-                f"change {-pair_drop:+.1%}"
+        if row_drop > args.threshold:
+            fail(
+                f"{label} events/sec regressed {row_drop:.1%} "
+                f"(> {args.threshold:.0%} threshold)"
             )
 
     for el in cur.get("elections", []):
@@ -125,43 +152,8 @@ def main() -> int:
             f"election n={el['n']}: elected={el['elected']} "
             f"events={el['events']} in {el['seconds']:.3f}s"
         )
-
-    failed = False
-    if drop > args.threshold:
-        print(
-            f"FAIL: events/sec regressed {drop:.1%} "
-            f"(> {args.threshold:.0%} threshold)",
-            file=sys.stderr,
-        )
-        failed = True
-    if cur_alloc > 1.0:
-        print(
-            f"FAIL: fast loop allocates {cur_alloc:.2f} B/event "
-            "(contract is ~0)",
-            file=sys.stderr,
-        )
-        failed = True
-    if cur_pair is None:
-        print("FAIL: current file has no raw_tick_pair row", file=sys.stderr)
-        failed = True
-    elif cur_pair["alloc_bytes_per_event"] > 1.0:
-        print(
-            f"FAIL: tick pair allocates {cur_pair['alloc_bytes_per_event']:.2f} "
-            "B/event (contract is ~0)",
-            file=sys.stderr,
-        )
-        failed = True
-    if pair_drop is not None and pair_drop > args.threshold:
-        print(
-            f"FAIL: tick pair events/sec regressed {pair_drop:.1%} "
-            f"(> {args.threshold:.0%} threshold)",
-            file=sys.stderr,
-        )
-        failed = True
-    for el in cur.get("elections", []):
         if not el["elected"]:
-            print(f"FAIL: election at n={el['n']} did not elect", file=sys.stderr)
-            failed = True
+            fail(f"election at n={el['n']} did not elect")
     return 1 if failed else 0
 
 

@@ -2,10 +2,17 @@
 
    Three measurements, matching the ROADMAP scale targets:
    - raw engine throughput: self-rescheduling event chains on a bare
-     engine (no network, no protocol), the ceiling of the fast loop; a
-     second "tick pair" row alternates a delay-0 completion with a delay-1
-     refire, as a tick with instantaneous processing does, so half of its
-     events take the engine's same-instant lane;
+     engine (no network, no protocol), the ceiling of the fast loop.  The
+     engine keeps three queues (see engine.ml): a same-instant lane, a
+     sorted run appended to at its tail, and a heap.  The headline chains
+     share their timestamps and reschedule by a constant delay, so they
+     live in the run; a "tick pair" row alternates a delay-0 completion
+     with a delay-1 refire, as a tick with instantaneous processing does,
+     so half of its events take the lane; a "ticking ring" row drives the
+     lane and the run through [Network]'s tick chains on a null-protocol
+     ring; a "random delay" row reschedules by delays from a fixed
+     exponential table, so inserts land below the run's tail and take the
+     heap and the tail-eviction path;
    - allocation rate on that loop via [Gc.allocated_bytes] — the
      flat-core refactor's contract is ~0 bytes per event;
    - election wall-time at ring sizes up to n = 10^6.  Huge rings run in
@@ -24,25 +31,19 @@ type raw = {
   raw_alloc_per_event : float;  (* bytes *)
 }
 
-(* [chains] independent event chains, each started by [start] on a fresh
-   engine, run until [events] events have executed — so [chains] is also
-   the steady-state queue depth.  Takes the best of [reps] repetitions:
-   wall-clock on a shared host is noisy and the best run is the closest
-   estimate of what the loop actually costs. *)
-let raw_chains ~start ~events ~chains ~reps =
-  let open Abe_sim in
+(* Best of [reps] measurements of [prepare ()], which builds a fresh
+   engine (or network) and returns a function that runs it and returns the
+   executed-event count.  Wall-clock on a shared host is noisy and the
+   best run is the closest estimate of what the loop actually costs. *)
+let best_raw ~chains ~reps prepare =
   let one () =
-    let e = Engine.create ~limit_events:events () in
-    for _ = 1 to chains do
-      start e
-    done;
+    let run = prepare () in
     Gc.full_major ();
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
-    let (_ : Engine.outcome) = Engine.run e in
+    let executed = run () in
     let dt = Unix.gettimeofday () -. t0 in
     let allocated = Gc.allocated_bytes () -. a0 in
-    let executed = Engine.executed_events e in
     { raw_events = executed;
       raw_chains = chains;
       raw_seconds = dt;
@@ -56,9 +57,23 @@ let raw_chains ~start ~events ~chains ~reps =
   done;
   !best
 
+(* [chains] independent event chains, each started by [start] on a fresh
+   engine, run until [events] events have executed — so [chains] is also
+   the steady-state queue depth. *)
+let raw_chains ~start ~events ~chains ~reps =
+  let open Abe_sim in
+  best_raw ~chains ~reps (fun () ->
+      let e = Engine.create ~limit_events:events () in
+      for _ = 1 to chains do
+        start e
+      done;
+      fun () ->
+        let (_ : Engine.outcome) = Engine.run e in
+        Engine.executed_events e)
+
 (* Each chain reschedules itself with a constant delay.  The per-chain
    closure is allocated once, so steady-state scheduling cost is exactly
-   one arena slot reuse + one heap push per event. *)
+   one arena slot reuse plus one append to the engine's run per event. *)
 let raw_engine =
   raw_chains ~start:(fun e ->
       let open Abe_sim in
@@ -73,6 +88,30 @@ let raw_tick_pair =
       let rec fire () = ignore (Engine.schedule e ~delay:0. complete)
       and complete () = ignore (Engine.schedule e ~delay:1.0 fire) in
       ignore (Engine.schedule e ~delay:1.0 fire))
+
+(* Each chain reschedules itself after the next delay from a fixed table
+   of Exp(1) samples (inverse-CDF images of a Weyl sequence, so the bench
+   needs no RNG and every build sees the same delays).  One cursor is
+   shared by every chain, so chains interleave instead of moving in
+   lockstep.  A chain keeps its own time in a flat cell and hands it to
+   [schedule_tagged], so no float is boxed per event. *)
+let raw_random_delay ~events ~chains ~reps =
+  let table =
+    Array.init 4096 (fun i ->
+        let u = Float.rem (float_of_int i *. 0.6180339887498949) 1. in
+        -.Float.log1p (-.u))
+  in
+  let cursor = ref 0 in
+  raw_chains ~events ~chains ~reps ~start:(fun e ->
+      let open Abe_sim in
+      let at = [| 0. |] in
+      let rec act () =
+        let k = !cursor in
+        cursor := (k + 1) land (Array.length table - 1);
+        at.(0) <- at.(0) +. Array.unsafe_get table k;
+        ignore (Engine.schedule_tagged e ~tag:(-1) ~footprint:0 at 0 act)
+      in
+      act ())
 
 type construction = {
   co_n : int;
@@ -94,17 +133,19 @@ end
 
 module Null_net = Abe_net.Network.Make (Null_protocol)
 
-let construction ~n ~reps =
-  let topology = Abe_net.Topology.ring n in
+(* A ring of [n] null-protocol nodes: default config (ticks on), handlers
+   that send nothing. *)
+let null_ring n =
   let delay =
     Abe_net.Delay_model.of_dist (Abe_prob.Dist.exponential ~mean:1.)
   in
-  let config = Null_net.default_config ~topology ~delay in
-  let handlers =
+  ( Null_net.default_config ~topology:(Abe_net.Topology.ring n) ~delay,
     { Null_net.init = (fun _ -> ());
       on_message = (fun _ state () -> state);
-      on_tick = (fun _ state -> state) }
-  in
+      on_tick = (fun _ state -> state) } )
+
+let construction ~n ~reps =
+  let config, handlers = null_ring n in
   let one () =
     Gc.full_major ();
     let a0 = Gc.allocated_bytes () in
@@ -124,6 +165,19 @@ let construction ~n ~reps =
   { co_n = n;
     co_seconds = seconds;
     co_alloc_per_node = allocated /. float_of_int n }
+
+(* A ring of [n] null-protocol nodes with ticks on and nothing sent: each
+   tick fires, completes at the same instant and refires one period
+   later, as [Network] drives the idle rounds of an election. *)
+let raw_ticking_ring ~events ~n ~reps =
+  let config, handlers = null_ring n in
+  best_raw ~chains:n ~reps (fun () ->
+      let net =
+        Null_net.create ~limit_events:events ~seed:1 config handlers
+      in
+      fun () ->
+        let (_ : Abe_sim.Engine.outcome) = Null_net.run net in
+        (Null_net.counters net).Abe_sim.Engine.executed)
 
 type election = {
   el_n : int;
@@ -160,32 +214,29 @@ let election ~n ~seed =
     el_seconds = dt;
     el_rate = float_of_int outcome.Abe_core.Runner.executed_events /. dt }
 
-let write_json ~quick ~raw ~sweep ~tick_pair ~construction:co ~notes
-    ~elections path =
+(* [raws] are the named raw rows ([raw_engine] first), each written as
+   one object. *)
+let write_json ~quick ~raws ~sweep ~construction:co ~notes ~elections path =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n\
     \  \"schema\": \"abe-engine-bench/v1\",\n\
-    \  \"mode\": %S,\n\
-    \  \"raw_engine\": {\n\
-    \    \"chains\": %d,\n\
-    \    \"events\": %d,\n\
-    \    \"seconds\": %.6f,\n\
-    \    \"events_per_sec\": %.1f,\n\
-    \    \"alloc_bytes_per_event\": %.4f\n\
-    \  },\n\
-    \  \"raw_tick_pair\": {\n\
-    \    \"chains\": %d,\n\
-    \    \"events\": %d,\n\
-    \    \"seconds\": %.6f,\n\
-    \    \"events_per_sec\": %.1f,\n\
-    \    \"alloc_bytes_per_event\": %.4f\n\
-    \  },\n\
-    \  \"raw_sweep\": [\n"
-    (if quick then "quick" else "full")
-    raw.raw_chains raw.raw_events raw.raw_seconds raw.raw_rate
-    raw.raw_alloc_per_event tick_pair.raw_chains tick_pair.raw_events
-    tick_pair.raw_seconds tick_pair.raw_rate tick_pair.raw_alloc_per_event;
+    \  \"mode\": %S,\n"
+    (if quick then "quick" else "full");
+  List.iter
+    (fun (name, r) ->
+       Printf.fprintf oc
+         "  %S: {\n\
+         \    \"chains\": %d,\n\
+         \    \"events\": %d,\n\
+         \    \"seconds\": %.6f,\n\
+         \    \"events_per_sec\": %.1f,\n\
+         \    \"alloc_bytes_per_event\": %.4f\n\
+         \  },\n"
+         name r.raw_chains r.raw_events r.raw_seconds r.raw_rate
+         r.raw_alloc_per_event)
+    raws;
+  Printf.fprintf oc "  \"raw_sweep\": [\n";
   List.iteri
     (fun i r ->
        Printf.fprintf oc
@@ -239,12 +290,18 @@ let run ~quick () =
     | r :: _ -> r
     | [] -> List.hd sweep
   in
-  let tick_pair = raw_tick_pair ~events ~chains:64 ~reps in
-  Fmt.pr
-    "raw tick pair: %d events, %d chains: %.3f s, %.3e events/s, %.2f \
-     B/event@."
-    tick_pair.raw_events tick_pair.raw_chains tick_pair.raw_seconds
-    tick_pair.raw_rate tick_pair.raw_alloc_per_event;
+  let raws =
+    [ ("raw_engine", raw);
+      ("raw_tick_pair", raw_tick_pair ~events ~chains:64 ~reps);
+      ("raw_ticking_ring", raw_ticking_ring ~events ~n:128 ~reps);
+      ("raw_random_delay", raw_random_delay ~events ~chains:64 ~reps) ]
+  in
+  List.iter
+    (fun (name, r) ->
+       Fmt.pr "%s: %d events, %d chains: %.3f s, %.3e events/s, %.2f B/event@."
+         name r.raw_events r.raw_chains r.raw_seconds r.raw_rate
+         r.raw_alloc_per_event)
+    (List.tl raws);
   let co_n = if quick then 100_000 else 1_000_000 in
   let co = construction ~n:co_n ~reps:(if quick then 3 else 5) in
   Fmt.pr "construction n=%d: %.3f s, %.1f B/node@." co.co_n co.co_seconds
@@ -271,6 +328,5 @@ let run ~quick () =
       sizes
   in
   let path = Bench_out.artifact "BENCH_engine.json" in
-  write_json ~quick ~raw ~sweep ~tick_pair ~construction:co ~notes ~elections
-    path;
+  write_json ~quick ~raws ~sweep ~construction:co ~notes ~elections path;
   Fmt.pr "wrote %s@." path

@@ -13,18 +13,31 @@
    top of that.  Both pop in identical [(time, seq)] order, so executions
    are byte-identical across loop choices.
 
-   Same-instant lane.  With instantaneous processing, half of all events
-   are scheduled at exactly the current clock value (a message arrival's
-   or tick's completion).  Without a scheduler such an event skips the
-   heap and joins a FIFO ring of arena slots, the lane.  [pop_live_slot]
-   takes the heap root only when it is due at the current instant, else
-   the lane head, and the heap when the lane is empty.  That is exactly
-   [(time, seq)] order: an event enters the heap only while its time is
-   later than the clock, so any heap event due at the current instant was
-   scheduled before the clock reached it and has a lower [seq] than every
-   lane event; lane events are all at the current instant, in [seq]
-   order; and the clock only advances through a heap pop, which happens
-   when the lane is empty. *)
+   Three queues.  Without a scheduler, pending events are split across
+   three structures, each sorted by [(time, seq)]:
+   - the lane, a FIFO ring of arena slots all due at the current clock
+     value (with instantaneous processing, a message arrival's or tick's
+     completion);
+   - the run, a second ring of arena slots due after the current instant,
+     appended to only at or after its tail's time, so it is sorted by
+     construction (fresh events get fresh, increasing [seq]s).  A tick
+     chain reschedules itself one period later, after every other pending
+     tick, so it costs O(1) per fire here;
+   - the heap, for the rest: an event earlier than the run's tail.  When
+     only the tail is later than the new event, the tail moves to the heap
+     under its own [seq] and the new event is appended, so one
+     long-delay message cannot block appends for a whole round.
+   [pop_live_slot] takes the earlier of the heap root and the run head by
+   [(time, seq)] when it is due at the current instant or the lane is
+   empty, else the lane head.  That is exactly [(time, seq)] order: heap
+   and run entries enter only while their time is later than the clock,
+   so one due at the current instant was scheduled before the clock got
+   there and has a lower [seq] than every lane event; lane events are all
+   at the current instant, in [seq] order; the clock only advances
+   through a heap or run pop, which happens when the lane is empty; and
+   both the eviction and the time-limit re-enqueue keep the event's
+   original [seq].  Under a scheduler every event goes through the heap,
+   so [choose_from] sees every candidate. *)
 
 type candidate = {
   c_time : float;
@@ -76,14 +89,18 @@ let st_cancelled = 2
 
 let null_action () = ()
 
+(* A FIFO ring of arena slots: power-of-two capacity, allocated on first
+   push. *)
+type ring = {
+  mutable slots : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type t = {
   queue : Pqueue.t;
-  (* Same-instant lane: a ring of arena slots, all due at the current
-     clock value, in scheduling order.  Power-of-two capacity, allocated
-     on first use; never used under a scheduler. *)
-  mutable lane : int array;
-  mutable lane_head : int;
-  mutable lane_len : int;
+  lane : ring;  (* all due at the current clock value, in [seq] order *)
+  run : ring;   (* due after the current instant, sorted by [(time, seq)] *)
   (* Event arena (SoA).  All arrays share the same capacity. *)
   mutable ev_time : float array;
   mutable ev_action : (unit -> unit) array;
@@ -134,9 +151,8 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
       metrics
   in
   { queue = Pqueue.create ();
-    lane = [||];
-    lane_head = 0;
-    lane_len = 0;
+    lane = { slots = [||]; head = 0; len = 0 };
+    run = { slots = [||]; head = 0; len = 0 };
     ev_time = [||];
     ev_action = [||];
     ev_tag = [||];
@@ -215,29 +231,64 @@ let free_slot t slot =
   Array.unsafe_set t.ev_next slot t.free_head;
   t.free_head <- slot
 
-(* Double the lane, unrolling the ring so the head lands at index 0. *)
-let grow_lane t =
-  let old = Array.length t.lane in
-  let lane = Array.make (max 64 (2 * old)) 0 in
-  for i = 0 to t.lane_len - 1 do
-    Array.unsafe_set lane i
-      (Array.unsafe_get t.lane ((t.lane_head + i) land (old - 1)))
+(* Double the ring, unrolling it so the head lands at index 0. *)
+let grow_ring r =
+  let old = Array.length r.slots in
+  let slots = Array.make (max 64 (2 * old)) 0 in
+  for i = 0 to r.len - 1 do
+    Array.unsafe_set slots i
+      (Array.unsafe_get r.slots ((r.head + i) land (old - 1)))
   done;
-  t.lane <- lane;
-  t.lane_head <- 0
+  r.slots <- slots;
+  r.head <- 0
 
-let lane_push t slot =
-  if t.lane_len = Array.length t.lane then grow_lane t;
-  Array.unsafe_set t.lane
-    ((t.lane_head + t.lane_len) land (Array.length t.lane - 1))
+let[@inline] ring_push r slot =
+  if r.len = Array.length r.slots then grow_ring r;
+  Array.unsafe_set r.slots ((r.head + r.len) land (Array.length r.slots - 1))
     slot;
-  t.lane_len <- t.lane_len + 1
+  r.len <- r.len + 1
 
-let lane_pop t =
-  let slot = Array.unsafe_get t.lane t.lane_head in
-  t.lane_head <- (t.lane_head + 1) land (Array.length t.lane - 1);
-  t.lane_len <- t.lane_len - 1;
+let[@inline] ring_pop r =
+  let slot = Array.unsafe_get r.slots r.head in
+  r.head <- (r.head + 1) land (Array.length r.slots - 1);
+  r.len <- r.len - 1;
   slot
+
+(* The [k]-th slot from the back: [0] is the tail.  Requires [k < len].
+   Returns the slot, not its time: a float returned from a helper would be
+   boxed on every call. *)
+let[@inline] ring_back r k =
+  Array.unsafe_get r.slots
+    ((r.head + r.len - 1 - k) land (Array.length r.slots - 1))
+
+let[@inline] ring_pop_tail r =
+  let slot = ring_back r 0 in
+  r.len <- r.len - 1;
+  slot
+
+(* Put [slot] on the heap under the [seq] it was scheduled with: a fresh
+   event, an evicted run tail, an event deferred by the time budget, or a
+   scheduler candidate put back, each keeps its place among same-time
+   peers. *)
+let[@inline] to_heap t slot =
+  Pqueue.add_at t.queue ~times:t.ev_time
+    ~seq:(Array.unsafe_get t.ev_eseq slot) slot
+
+(* Place a fresh event due after the current instant (see the header): on
+   the run when it is not earlier than the tail; on the run after moving
+   the tail to the heap when only the tail is later; else on the heap. *)
+let[@inline] place_later t slot =
+  let time = Array.unsafe_get t.ev_time slot in
+  let run = t.run in
+  if run.len = 0 || time >= Array.unsafe_get t.ev_time (ring_back run 0) then
+    ring_push run slot
+  else if
+    run.len = 1 || time >= Array.unsafe_get t.ev_time (ring_back run 1)
+  then begin
+    to_heap t (ring_pop_tail run);
+    ring_push run slot
+  end
+  else to_heap t slot
 
 (* Tail of [schedule_tagged]: [slot] already holds the event time (written
    straight into the flat [ev_time] array, so no float crosses a call
@@ -254,11 +305,10 @@ let enqueue t tag foot slot action =
   Array.unsafe_set t.ev_eseq slot t.seq;
   Array.unsafe_set t.ev_lamport slot lamport;
   Array.unsafe_set t.ev_state slot st_live;
-  if
-    t.scheduler == None
-    && Array.unsafe_get t.ev_time slot = Array.unsafe_get t.clock 0
-  then lane_push t slot
-  else Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot;
+  if t.scheduler != None then to_heap t slot
+  else if Array.unsafe_get t.ev_time slot = Array.unsafe_get t.clock 0 then
+    ring_push t.lane slot
+  else place_later t slot;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   if t.live > t.max_depth then t.max_depth <- t.live;
@@ -343,18 +393,41 @@ let announce t ~time slot =
       ~time
 
 (* Pop arena slots until a non-cancelled one is found ([-1] when drained);
-   cancelled slots are collected back into the freelist here.  A heap root
-   due at the current instant goes before the lane (see the header). *)
+   cancelled slots are collected back into the freelist here.  With both
+   rings empty (always, under a scheduler) this is a plain heap pop.
+   Otherwise [next] is the earlier of the heap root and the run head by
+   [(time, seq)]; it goes before the lane when it is due at the current
+   instant (see the header). *)
 let rec pop_live_slot t =
+  let run = t.run and lane = t.lane in
   let slot =
-    if t.lane_len = 0 then Pqueue.pop_value t.queue
-    else
+    if run.len = 0 && lane.len = 0 then Pqueue.pop_value t.queue
+    else begin
       let root = Pqueue.min_value t.queue in
+      let next =
+        if run.len = 0 then root
+        else
+          let head = Array.unsafe_get run.slots run.head in
+          if root < 0 then head
+          else
+            let th = Array.unsafe_get t.ev_time head
+            and tr = Array.unsafe_get t.ev_time root in
+            if
+              th < tr
+              || (th = tr
+                  && Array.unsafe_get t.ev_eseq head
+                     < Array.unsafe_get t.ev_eseq root)
+            then head
+            else root
+      in
       if
-        root >= 0
-        && Array.unsafe_get t.ev_time root = Array.unsafe_get t.clock 0
-      then Pqueue.pop_value t.queue
-      else lane_pop t
+        lane.len > 0
+        && (next < 0
+            || Array.unsafe_get t.ev_time next <> Array.unsafe_get t.clock 0)
+      then ring_pop lane
+      else if next = root then Pqueue.pop_value t.queue
+      else ring_pop run
+    end
   in
   if slot < 0 then -1
   else if Array.unsafe_get t.ev_state slot = st_cancelled then begin
@@ -429,8 +502,7 @@ let choose_from t sched slot0 =
   in
   Array.iteri
     (fun i s ->
-       if i <> chosen_index then
-         Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(s) s)
+       if i <> chosen_index then to_heap t s)
     entries;
   let slot = entries.(chosen_index) in
   (Float.max t.clock.(0) t.ev_time.(slot), slot)
@@ -495,7 +567,7 @@ let run_fast t =
       else begin
         let time = Array.unsafe_get t.ev_time slot in
         if time > t.limit_time then begin
-          Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot) slot;
+          to_heap t slot;
           Hit_time_limit
         end
         else begin
@@ -523,7 +595,7 @@ let run_instrumented t =
       else begin
         let time = t.ev_time.(slot) in
         if time > t.limit_time then begin
-          Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot) slot;
+          to_heap t slot;
           Hit_time_limit
         end
         else begin
@@ -547,7 +619,7 @@ let run_scheduled t sched =
       let slot0 = pop_live_slot t in
       if slot0 < 0 then Drained
       else if t.ev_time.(slot0) > t.limit_time then begin
-        Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot0) slot0;
+        to_heap t slot0;
         Hit_time_limit
       end
       else begin

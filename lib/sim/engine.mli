@@ -17,10 +17,13 @@
     structure-of-arrays layout (timestamps in a flat [float array], actions
     in a parallel array, tag/seq/lamport/state in [int array]s) with freed
     slots recycled through a freelist; the priority queue orders bare arena
-    indices.  Without a scheduler, an event scheduled at exactly the
-    current time skips the priority queue for a FIFO lane of arena slots;
-    the lane and the queue together still yield exact [(time, seq)]
-    order.  When no observer, metrics registry, causal recorder or
+    indices.  Without a scheduler, the priority queue only holds what two
+    FIFO rings of arena slots cannot: an event scheduled at exactly the
+    current time joins the {e lane}, and a later event that is not earlier
+    than the last one queued joins the {e run}, which stays sorted by
+    construction (a periodic tick chain lives there at O(1) per fire).
+    The three together still yield exact [(time, seq)] order.  When no
+    observer, metrics registry, causal recorder or
     scheduler is attached, [run] enters a monomorphic fast loop with no
     per-event observation branches and no per-event allocation.  Both loops
     pop in identical [(time, seq)] order, so executions are byte-identical

@@ -405,14 +405,17 @@ let test_wall_deadline_past_exits_promptly () =
    must execute the same events at the same instants and answer every
    [run]/[step] the same way.  The programs schedule at delay 0 (the
    same-instant lane), at positive delays and at shared absolute times
-   from inside other events, cancel live and stale handles, stop, and hit
-   both budgets; each is driven through [run] and [step], on the fast
-   loop, the observed loop and a window-0 scheduler that always picks the
-   earliest candidate. *)
+   from inside other events, run periodic chains at distinct phases (the
+   engine's run queue), insert below, at and just under the run's tail
+   (direct heap inserts and tail evictions), cancel live and stale
+   handles, stop, and hit both budgets; each is driven through [run] and
+   [step], on the fast loop, the observed loop and a window-0 scheduler
+   that always picks the earliest candidate. *)
 
 type op =
   | Delay of float * int  (* schedule program [p] after [delay] *)
   | At of float * int     (* schedule program [p] at [max now time] *)
+  | Again of float        (* schedule this event's program after [delay] *)
   | Cancel of int         (* cancel handle [k mod handles so far] *)
   | Stop
 
@@ -448,10 +451,11 @@ let execute_program prog be =
   let log = ref [] in
   let handles = Hashtbl.create 64 in
   let spawned = ref 0 in
-  let rec exec ops = List.iter op ops
-  and op = function
+  let rec exec self ops = List.iter (op self) ops
+  and op self = function
     | Delay (delay, p) -> spawn p (fun act -> be.after delay act)
     | At (time, p) -> spawn p (fun act -> be.at (Float.max (be.now ()) time) act)
+    | Again delay -> spawn self (fun act -> be.after delay act)
     | Cancel k ->
       if !spawned > 0 then be.cancel (Hashtbl.find handles (k mod !spawned))
     | Stop -> be.stop ()
@@ -461,12 +465,12 @@ let execute_program prog be =
       incr spawned;
       let action () =
         log := Printf.sprintf "event %d at %g" id (be.now ()) :: !log;
-        exec prog.bodies.(p)
+        exec p prog.bodies.(p)
       in
       Hashtbl.replace handles id (schedule action)
     end
   in
-  exec prog.initial;
+  exec 0 prog.initial;
   let drives = Array.of_list prog.drives in
   let rec drive i =
     if be.pending () > 0 && i < 20 * max_spawned then begin
@@ -571,25 +575,31 @@ let on_model prog =
              true);
       pending = (fun () -> List.length !pending) }
 
+(* Times on a quarter grid, so inserts often land exactly at the run's
+   tail or at the entry before it; [Again] makes periodic chains, and
+   initial [Delay]s start them at distinct phases. *)
 let gen_program =
   let open QCheck.Gen in
   let* n_bodies = int_range 1 6 in
   let gen_op =
     frequency
       [ (4, map2 (fun d p -> Delay (d, p))
-             (oneofl [ 0.; 0.; 0.5; 1.; 2. ]) (int_bound (n_bodies - 1)));
+             (oneofl [ 0.; 0.; 0.25; 0.5; 0.75; 1.; 1.25; 2. ])
+             (int_bound (n_bodies - 1)));
         (2, map2 (fun t p -> At (t, p))
-             (oneofl [ 0.; 1.; 2.; 3. ]) (int_bound (n_bodies - 1)));
-        (1, map (fun k -> Cancel k) (int_bound 50));
+             (oneofl [ 0.; 1.; 1.25; 2.; 2.5; 3. ])
+             (int_bound (n_bodies - 1)));
+        (3, map (fun d -> Again d) (oneofl [ 1.; 1.; 0.75; 2. ]));
+        (1, map (fun k -> Cancel k) (int_bound 120));
         (1, return Stop) ]
   in
   let* bodies = array_size (return n_bodies) (list_size (int_bound 4) gen_op) in
-  let* initial = list_size (int_range 1 6) gen_op in
+  let* initial = list_size (int_range 1 8) gen_op in
   let* drives = list_size (int_bound 4) (oneofl [ Run; Step ]) in
   let* limit_events =
     frequency [ (2, return max_int); (1, int_range 1 60) ]
   in
-  let* limit_time = oneofl [ infinity; 1.5; 3. ] in
+  let* limit_time = oneofl [ infinity; 1.5; 2.25; 3. ] in
   let+ mode = oneofl [ Fast; Observed; Scheduled ] in
   { bodies; initial; drives = drives @ [ Step ]; limit_events; limit_time;
     mode }
@@ -598,6 +608,7 @@ let print_program prog =
   let op = function
     | Delay (d, p) -> Printf.sprintf "after %g: p%d" d p
     | At (t, p) -> Printf.sprintf "at %g: p%d" t p
+    | Again d -> Printf.sprintf "again after %g" d
     | Cancel k -> Printf.sprintf "cancel h%d" k
     | Stop -> "stop"
   in
@@ -625,39 +636,59 @@ let prop_matches_order_model =
        true)
 
 (* Each chain alternates a completion at the current instant (the lane)
-   with a refire one time unit later (the heap), the pattern of a tick
-   with instantaneous processing; [second] = 0 keeps a chain in the lane
-   for good.  After a warm-up that sizes the arena and the lane, the fast
-   loop must allocate nothing. *)
+   with a refire [second] time units later (the run), the pattern of a
+   tick with instantaneous processing; [second] = 0 keeps a chain in the
+   lane for good.  Chain [i] starts at [i * spacing], so 128 chains a
+   128th apart are a ring's ticks at distinct phases.  A [stray] chain
+   reschedules itself just under a period later: once per round it lands
+   below the run's tail, every other round evicting the tail to the heap.
+   After a warm-up that sizes the arena, the rings and the heap, the fast
+   loop must allocate nothing: a float returned from an engine helper
+   would show up here. *)
+let stray_delay = 1. -. (1. /. 256.)
+
 let test_same_instant_chain_allocates_nothing () =
   List.iter
-    (fun second ->
+    (fun (chains, spacing, second, stray) ->
        let engine = Engine.create () in
-       let count = ref 0 and stop_at = ref 1_000 in
-       for _ = 1 to 16 do
+       let count = ref 0 and stop_at = ref 10_000 in
+       let tally () =
+         incr count;
+         if !count = !stop_at then Engine.stop engine
+       in
+       for i = 0 to chains - 1 do
          let rec complete () =
            tally ();
            ignore (Engine.schedule engine ~delay:second refire)
          and refire () =
            tally ();
            ignore (Engine.schedule engine ~delay:0. complete)
-         and tally () =
-           incr count;
-           if !count = !stop_at then Engine.stop engine
          in
-         ignore (Engine.schedule engine ~delay:0. refire)
+         ignore
+           (Engine.schedule engine ~delay:(float_of_int i *. spacing) refire)
        done;
+       if stray then begin
+         let rec again () =
+           tally ();
+           ignore (Engine.schedule engine ~delay:stray_delay again)
+         in
+         ignore (Engine.schedule engine ~delay:(1. /. 512.) again)
+       end;
        ignore (Engine.run engine);
-       stop_at := 201_000;
+       stop_at := 210_000;
        let w0 = Gc.minor_words () in
        let outcome = Engine.run engine in
        let w1 = Gc.minor_words () in
        Alcotest.(check bool) "stopped" true (outcome = Engine.Stopped);
        let bytes_per_event = (w1 -. w0) *. 8. /. 200_000. in
        Alcotest.(check bool)
-         (Printf.sprintf "second delay %g: %.4f B/event" second bytes_per_event)
+         (Printf.sprintf "%d chains, second delay %g, stray %b: %.4f B/event"
+            chains second stray bytes_per_event)
          true (bytes_per_event < 0.01))
-    [ 1.; 0. ]
+    [ (16, 0., 1., false);
+      (16, 0., 0., false);
+      (128, 1. /. 128., 1., false);
+      (128, 1. /. 128., 1., true) ]
 
 let () =
   Alcotest.run "engine"

@@ -292,27 +292,15 @@ let threads_term =
   in
   Arg.(value & flag & info [ "threads" ] ~doc)
 
-let build_real_config ~n ~a0 ~theta ~delta ~gamma ~drift ~delay_kind ~scale
-    ~wall_timeout ~spawn_mode () =
-  let ( let* ) = Result.bind in
-  let* dist = parse_delay ~delta delay_kind in
-  let* clock = clock_of_drift drift in
-  let* () =
-    if gamma > 0. then
-      Error
-        (`Msg
-           "--backend real does not emulate processing time; leave --gamma \
-            at 0")
-    else Ok ()
-  in
-  let params = Abe_core.Params.make ~delta ~gamma:0. ~clock in
-  match
-    Abe_substrate.Elect_real.config ~n ~a0:(effective_a0 ~theta a0 n) ~params
-      ~delay:(Abe_net.Delay_model.of_dist dist)
-      ~scale ~wall_timeout ~spawn_mode ()
-  with
-  | config -> Ok config
-  | exception Invalid_argument message -> Error (`Msg message)
+(* The real backend runs a configuration [build_config] has validated
+   (with [gamma = 0]), so this cannot raise. *)
+let real_config_of (c : Abe_core.Runner.config) ~scale ~wall_timeout ~threads =
+  Abe_substrate.Elect_real.config ~n:c.n ~a0:c.a0 ~params:c.params
+    ~delay:c.delay ~scale ~wall_timeout
+    ~spawn_mode:
+      (if threads then Abe_substrate.Cluster.Threads
+       else Abe_substrate.Cluster.Domains)
+    ()
 
 (* --------------------------------------------------------------- elect *)
 
@@ -344,16 +332,20 @@ let elect_command =
       let* () = reject "--announce" announce in
       let* () = reject "--check" check in
       let* () = reject "--fault" (fault <> "none") in
-      let spawn_mode =
-        if threads then Abe_substrate.Cluster.Threads
-        else Abe_substrate.Cluster.Domains
-      in
-      let* config =
+      let* sim_config =
         Result.map_error
           (fun (`Msg m) -> m)
-          (build_real_config ~n ~a0 ~theta ~delta ~gamma ~drift ~delay_kind
-             ~scale ~wall_timeout ~spawn_mode ())
+          (build_config ~n ~a0 ~theta ~delta ~gamma:0. ~drift ~delay_kind
+             ~seed ())
       in
+      let* () =
+        if gamma > 0. then
+          Error
+            "--backend real does not emulate processing time; leave --gamma \
+             at 0"
+        else Ok ()
+      in
+      let config = real_config_of sim_config ~scale ~wall_timeout ~threads in
       let registry = registry_for metrics_dest in
       let collector =
         Option.map
@@ -407,63 +399,40 @@ let elect_command =
       in
       let registry = registry_for metrics_dest in
       let causal = causal_for span_out in
-      let print_trace () =
-        if trace then
-          Option.iter
-            (fun tr -> Fmt.pr "%a@." Abe_sim.Trace.pp tr)
-            trace_buffer
+      let outcome =
+        Abe_core.Runner.run ?trace:trace_buffer ?metrics:registry ?causal
+          ~check ~announce ~seed config
       in
-      let export () =
-        Option.iter
-          (fun path ->
-             Option.iter
-               (fun tr ->
-                  with_out_channel path (fun oc ->
-                      Abe_sim.Trace.output_jsonl oc tr))
-               trace_buffer)
-          trace_out;
-        export_spans span_out causal;
-        Option.iter (emit_metrics metrics_dest) registry
+      if trace then
+        Option.iter (fun tr -> Fmt.pr "%a@." Abe_sim.Trace.pp tr) trace_buffer;
+      Fmt.pr "%a@." Abe_core.Runner.pp_outcome outcome;
+      print_critpath causal;
+      Option.iter
+        (fun path ->
+           Option.iter
+             (fun tr ->
+                with_out_channel path (fun oc ->
+                    Abe_sim.Trace.output_jsonl oc tr))
+             trace_buffer)
+        trace_out;
+      export_spans span_out causal;
+      Option.iter (emit_metrics metrics_dest) registry;
+      let* () =
+        if check then
+          report_check
+            ~label:(if announce then "announce" else "elect")
+            outcome.Abe_core.Runner.violations
+        else Ok ()
       in
-      if announce then begin
-        let outcome =
-          Abe_core.Announce.run ?trace:trace_buffer ?metrics:registry ?causal
-            ~check ~seed config
-        in
-        print_trace ();
-        Fmt.pr "%a@." Abe_core.Announce.pp_outcome outcome;
-        print_critpath causal;
-        export ();
-        let* () =
-          if check then
-            report_check ~label:"announce"
-              outcome.Abe_core.Announce.election.Abe_core.Runner.violations
-          else Ok ()
-        in
-        if outcome.Abe_core.Announce.all_informed then Ok ()
-        else Error "announcement did not complete within the budget"
-      end
-      else begin
-        let outcome =
-          Abe_core.Runner.run ?trace:trace_buffer ?metrics:registry ?causal
-            ~check ~seed config
-        in
-        print_trace ();
-        Fmt.pr "%a@." Abe_core.Runner.pp_outcome outcome;
-        print_critpath causal;
-        export ();
-        let* () =
-          if check then
-            report_check ~label:"elect" outcome.Abe_core.Runner.violations
-          else Ok ()
-        in
-        if outcome.Abe_core.Runner.elected then Ok ()
-        else
-          Error
-            (match outcome.Abe_core.Runner.stalled with
-             | Some reason -> "no leader possible: " ^ reason
-             | None -> "no leader elected within the simulation budget")
-      end
+      match
+        outcome.Abe_core.Runner.stalled, outcome.Abe_core.Runner.announce
+      with
+      | Some reason, _ -> Error ("no leader possible: " ^ reason)
+      | None, Some { Abe_core.Runner.all_informed = false; _ } ->
+        Error "announcement did not complete within the budget"
+      | None, None when not outcome.Abe_core.Runner.elected ->
+        Error "no leader elected within the simulation budget"
+      | None, (Some _ | None) -> Ok ()
   in
   let term =
     Term.(
@@ -541,16 +510,7 @@ let parity_command =
         (build_config ~n ~a0 ~theta ~delta ~gamma:0. ~drift ~delay_kind ~seed
            ())
     in
-    let spawn_mode =
-      if threads then Abe_substrate.Cluster.Threads
-      else Abe_substrate.Cluster.Domains
-    in
-    let* real_config =
-      Result.map_error
-        (fun (`Msg m) -> m)
-        (build_real_config ~n ~a0 ~theta ~delta ~gamma:0. ~drift ~delay_kind
-           ~scale ~wall_timeout ~spawn_mode ())
-    in
+    let real_config = real_config_of sim_config ~scale ~wall_timeout ~threads in
     let sim_runs =
       Abe_harness.Exp.replicate ~driver ~base:seed ~count:runs (fun ~seed ->
           Abe_core.Runner.run ~seed sim_config)

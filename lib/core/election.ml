@@ -20,11 +20,6 @@ let activation_probability ~a0 ~d =
   if d < 1 then invalid_arg "Election.activation_probability: d must be >= 1";
   1. -. ((1. -. a0) ** float_of_int d)
 
-let activates ~a0 ~rng state =
-  match state.phase with
-  | Active | Passive | Leader -> false
-  | Idle -> Abe_prob.Rng.bernoulli rng (activation_probability ~a0 ~d:state.d)
-
 (* Entries are [-1.] until their [d] is first drawn at. *)
 type coin = {
   coin_a0 : float;
@@ -49,8 +44,12 @@ let coin_activates coin ~rng state =
     Abe_prob.Rng.bernoulli_at rng coin.probs state.d
 
 let tick_decision ~a0 ~rng state =
-  if activates ~a0 ~rng state then ({ state with phase = Active }, true)
-  else (state, false)
+  match state.phase with
+  | Active | Passive | Leader -> (state, false)
+  | Idle ->
+    if Abe_prob.Rng.bernoulli rng (activation_probability ~a0 ~d:state.d) then
+      ({ state with phase = Active }, true)
+    else (state, false)
 
 let receive ~n state hop =
   if n < 2 then invalid_arg "Election.receive: n must be >= 2";

@@ -33,9 +33,12 @@
     roughly constant as nodes get knocked out — the key to linear average
     time and message complexity.
 
-    This module is pure: {!tick_decision} and {!receive} are side-effect
-    free state transformers, directly testable; the simulation wiring lives
-    in {!Runner}. *)
+    The entry points are {!coin_activates}, the clock-tick decision (one
+    draw from the caller's stream; its only other effect is the coin's
+    memo fill), and {!receive}, a side-effect-free message transition;
+    both are directly testable.  The one wiring of them into a ring lives
+    in {!Runner}; the real backend ([Abe_substrate.Elect_real]) flips the
+    same coin and sends Runner's packed token. *)
 
 type phase = Idle | Active | Passive | Leader
 
@@ -59,11 +62,6 @@ val initial : state
 val activation_probability : a0:float -> d:int -> float
 (** [1. -. (1. -. a0) ** d].  Requires [a0] in [(0,1)] and [d >= 1]. *)
 
-val activates : a0:float -> rng:Abe_prob.Rng.t -> state -> bool
-(** The coin of one clock tick: [true] when an idle node activates.  An
-    idle node draws once from [rng]; other phases draw nothing and give
-    [false]. *)
-
 type coin
 (** A per-run memo of {!activation_probability} for one [a0] and
     [d] in [1 .. n].  Entry [d] is computed by {!activation_probability}
@@ -76,13 +74,18 @@ val coin_probability : coin -> d:int -> float
     [activation_probability ~a0 ~d]. *)
 
 val coin_activates : coin -> rng:Abe_prob.Rng.t -> state -> bool
-(** {!activates} through the coin: the same single draw and the same
-    result, but the probability is neither recomputed nor boxed. *)
+(** The coin of one clock tick: [true] when an idle node activates.  An
+    idle node draws once from [rng] against entry [d]; other phases draw
+    nothing and give [false].  A coin whose entries are all filled (see
+    {!coin_probability}) is only read, so concurrent workers may share
+    it. *)
 
 val tick_decision : a0:float -> rng:Abe_prob.Rng.t -> state -> state * bool
-(** One clock tick.  For an idle node, flips the activation coin
-    ({!activates}): on success the node becomes active and must send [<1>]
-    ([true] in the result).  Non-idle nodes are unchanged ([false]). *)
+(** One clock tick without a coin: an idle node draws once against
+    [activation_probability ~a0 ~d], exactly as {!coin_activates} does,
+    and on success becomes active and must send [<1>] ([true] in the
+    result).  Non-idle nodes are unchanged ([false]).  Kept for the
+    per-tick cost probe; both backends flip a {!coin}. *)
 
 val receive : n:int -> state -> message -> state * reaction
 (** One message receipt, per the case analysis above.  Requires [n >= 2] and

@@ -86,6 +86,13 @@ type outcome = {
   engine_outcome : Abe_sim.Engine.outcome;
   violations : Abe_sim.Oracle.violation list;
   stalled : string option;
+  announce : announce option;
+}
+
+and announce = {
+  announce_messages : int;
+  all_informed : bool;
+  informed_at : float;
 }
 
 (* The wire message is the election hop counter plus a monitor-side tag:
@@ -93,20 +100,24 @@ type outcome = {
    emission.  Handlers never read it — only the hop-soundness check
    ([hop = traversed] on every arrival) does, so tagging cannot change the
    execution.  Both travel packed in one immediate, [traversed] above the
-   hop's [hop_bits], so a send allocates no record. *)
+   hop's [hop_bits], so a send allocates no record.  Election hops are
+   [1 .. n]; the packed 0 is reserved for the announcement lap. *)
 type token = int
 
 let hop_bits = 31
 let token ~hop ~traversed = (traversed lsl hop_bits) lor hop
 let hop tok = tok land ((1 lsl hop_bits) - 1)
 let traversed tok = tok lsr hop_bits
+let announce_token = 0
 
 module Net = Network.Make (struct
     type state = Election.state
     type message = token
 
     let pp_state = Election.pp_state
-    let pp_message ppf tok = Election.pp_message ppf (hop tok)
+    let pp_message ppf tok =
+      if tok = announce_token then Format.pp_print_string ppf "<announce>"
+      else Election.pp_message ppf (hop tok)
   end)
 
 (* Forwarding rule selector, for demonstrating that the oracle catches the
@@ -127,6 +138,8 @@ type counters = {
   mutable elected_at : float;
   mutable leader : int option;
   mutable elections : int;
+  mutable announce_messages : int;
+  mutable informed_at : float;
   mutable activation_times : float array;  (* growable; [activations]
                                              entries are in use *)
   mutable mass_samples : (float * int * int) list;
@@ -175,7 +188,8 @@ let mix h v =
    builds the active state itself, so a tick that changes nothing (almost
    all of them) allocates no result. *)
 let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
-    ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed config =
+    ?(forwarding = Paper) ?(wall_deadline = infinity) ?(announce = false)
+    ~seed config =
   let counters =
     { activations = 0;
       knockouts = 0;
@@ -183,6 +197,8 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
       elected_at = nan;
       leader = None;
       elections = 0;
+      announce_messages = 0;
+      informed_at = nan;
       activation_times = [||];
       mass_samples = [];
       phase_transitions = [] }
@@ -218,6 +234,12 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
   in
   let instruments = Option.map instruments_of metrics in
   let record f = Option.iter f instruments in
+  let announce_counter =
+    match metrics with
+    | Some m when announce ->
+      Some (Abe_sim.Metrics.counter m "announce/messages")
+    | _ -> None
+  in
   (* A fault scenario whose generation cap bound is simulating a calmer
      network than requested; surface the drop count where dashboards can
      see it. *)
@@ -239,6 +261,9 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
   (* Shadow copy of all node states, to sample the ring-wide wake-up mass
      Σ d over non-passive nodes whenever the phase distribution changes. *)
   let shadow = Array.make config.n Election.initial in
+  (* Which nodes have seen the announcement; allocated only when
+     announcing. *)
+  let informed = Array.make (if announce then config.n else 0) false in
   (* In-flight token multiset for the exploration digest: an
      order-independent sum of per-message keys (destination, hop), added
      at send and subtracted at delivery, so two schedule prefixes only
@@ -311,6 +336,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
             | Network.Revive { node } ->
               let before = shadow.(node) in
               shadow.(node) <- Election.initial;
+              if announce then informed.(node) <- false;
               record_phase time node before Election.initial
             | Network.Crash { node } ->
               if
@@ -329,6 +355,99 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
            match monitor_observer with
            | None -> ()
            | Some f -> f ~time ~stats ~in_flight ev)
+  in
+  let send_announce ctx =
+    counters.announce_messages <- counters.announce_messages + 1;
+    Option.iter Abe_sim.Metrics.incr announce_counter;
+    ctx.Net.send 0 announce_token
+  in
+  (* The announcement lap: every node records the result and forwards it;
+     its return to the leader informs the whole ring and halts the run. *)
+  let on_announce ctx st =
+    informed.(ctx.Net.node) <- true;
+    if st.Election.phase = Election.Leader then begin
+      let time = ctx.Net.now () in
+      counters.informed_at <- time;
+      cmark ~node:ctx.Net.node ~time "informed";
+      ctx.Net.stop ()
+    end
+    else send_announce ctx;
+    st
+  in
+  let on_token ctx st tok =
+    let time = ctx.Net.now () in
+    let hop = hop tok and traversed = traversed tok in
+    note_recv ctx.Net.node hop;
+    Option.iter
+      (fun o ->
+         if hop <> traversed then
+           Abe_sim.Oracle.reportf o ~time ~invariant:"hop-soundness"
+             ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+             "token hop %d but traversed %d links" hop traversed)
+      oracle;
+    record (fun i ->
+        Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
+    let st', reaction = Election.receive ~n:config.n st hop in
+    shadow.(ctx.Net.node) <- st';
+    record_phase time ctx.Net.node st st';
+    (match reaction with
+     | Election.Forward hop' ->
+       if st.Election.phase = Election.Idle then begin
+         counters.knockouts <- counters.knockouts + 1;
+         record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
+         cmark ~node:ctx.Net.node ~time "knockout";
+         sample_mass time
+       end;
+       (match forwarding with
+        | Drop_token when traversed >= 2 ->
+          (* Seeded liveness bug: the token dies here instead of
+             continuing around the ring. *)
+          ()
+        | Paper | Stale_max | Drop_token ->
+          let out_hop =
+            match forwarding with
+            | Paper | Drop_token -> hop'
+            | Stale_max -> min config.n (st'.Election.d + 1)
+          in
+          ctx.Net.send 0 (token ~hop:out_hop ~traversed:(traversed + 1));
+          note_send (successor ctx.Net.node) out_hop)
+     | Election.Purge ->
+       counters.purges <- counters.purges + 1;
+       record (fun i ->
+           Abe_sim.Metrics.incr i.m_purges;
+           Abe_sim.Metrics.observe i.m_live_tokens
+             (float_of_int (live_tokens ())));
+       cmark ~node:ctx.Net.node ~time "purge";
+       sample_mass time
+     | Election.Elected ->
+       counters.elections <- counters.elections + 1;
+       record (fun i ->
+           Abe_sim.Metrics.set_gauge i.m_elected_at time;
+           Abe_sim.Metrics.set_gauge i.m_hops_at_election
+             (float_of_int traversed));
+       Option.iter
+         (fun o ->
+            if traversed <> config.n then
+              Abe_sim.Oracle.reportf o ~time
+                ~invariant:"election-soundness"
+                ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                "elected by a token that traversed %d of %d links"
+                traversed config.n;
+            if counters.elections > 1 then
+              Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
+                ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                "election #%d in one run" counters.elections)
+         oracle;
+       counters.elected_at <- time;
+       counters.leader <- Some ctx.Net.node;
+       cmark ~node:ctx.Net.node ~time "elected";
+       (* The electing delivery's handler span is the critical-path
+          sink: its completion is the elected-at instant. *)
+       Option.iter Abe_sim.Causal.set_sink causal;
+       sample_mass time;
+       (* Announcing, the leader starts the lap instead of halting. *)
+       if announce then send_announce ctx else ctx.Net.stop ());
+    st'
   in
   let handlers : Net.handlers =
     { init = (fun _ctx -> Election.initial);
@@ -364,78 +483,8 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
            end);
       on_message =
         (fun ctx st tok ->
-           let time = ctx.Net.now () in
-           let hop = hop tok and traversed = traversed tok in
-           note_recv ctx.Net.node hop;
-           Option.iter
-             (fun o ->
-                if hop <> traversed then
-                  Abe_sim.Oracle.reportf o ~time ~invariant:"hop-soundness"
-                    ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                    "token hop %d but traversed %d links" hop traversed)
-             oracle;
-           record (fun i ->
-               Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
-           let st', reaction = Election.receive ~n:config.n st hop in
-           shadow.(ctx.Net.node) <- st';
-           record_phase time ctx.Net.node st st';
-           (match reaction with
-            | Election.Forward hop' ->
-              if st.Election.phase = Election.Idle then begin
-                counters.knockouts <- counters.knockouts + 1;
-                record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
-                cmark ~node:ctx.Net.node ~time "knockout";
-                sample_mass time
-              end;
-              (match forwarding with
-               | Drop_token when traversed >= 2 ->
-                 (* Seeded liveness bug: the token dies here instead of
-                    continuing around the ring. *)
-                 ()
-               | Paper | Stale_max | Drop_token ->
-                 let out_hop =
-                   match forwarding with
-                   | Paper | Drop_token -> hop'
-                   | Stale_max -> min config.n (st'.Election.d + 1)
-                 in
-                 ctx.Net.send 0 (token ~hop:out_hop ~traversed:(traversed + 1));
-                 note_send (successor ctx.Net.node) out_hop)
-            | Election.Purge ->
-              counters.purges <- counters.purges + 1;
-              record (fun i ->
-                  Abe_sim.Metrics.incr i.m_purges;
-                  Abe_sim.Metrics.observe i.m_live_tokens
-                    (float_of_int (live_tokens ())));
-              cmark ~node:ctx.Net.node ~time "purge";
-              sample_mass time
-            | Election.Elected ->
-              counters.elections <- counters.elections + 1;
-              record (fun i ->
-                  Abe_sim.Metrics.set_gauge i.m_elected_at time;
-                  Abe_sim.Metrics.set_gauge i.m_hops_at_election
-                    (float_of_int traversed));
-              Option.iter
-                (fun o ->
-                   if traversed <> config.n then
-                     Abe_sim.Oracle.reportf o ~time
-                       ~invariant:"election-soundness"
-                       ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                       "elected by a token that traversed %d of %d links"
-                       traversed config.n;
-                   if counters.elections > 1 then
-                     Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
-                       ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                       "election #%d in one run" counters.elections)
-                oracle;
-              counters.elected_at <- time;
-              counters.leader <- Some ctx.Net.node;
-              cmark ~node:ctx.Net.node ~time "elected";
-              (* The electing delivery's handler span is the critical-path
-                 sink: its completion is the elected-at instant. *)
-              Option.iter Abe_sim.Causal.set_sink causal;
-              sample_mass time;
-              ctx.Net.stop ());
-           st') }
+           if tok = announce_token then on_announce ctx st
+           else on_token ctx st tok) }
   in
   let base_delay_of_link =
     match config.link_delays with
@@ -521,7 +570,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
     leader = counters.leader;
     leader_count;
     elected_at = counters.elected_at;
-    messages = stats.Network.sent;
+    messages = stats.Network.sent - counters.announce_messages;
     activations = counters.activations;
     knockouts = counters.knockouts;
     purges = counters.purges;
@@ -534,13 +583,20 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
     wall_time = engine_counters.Abe_sim.Engine.wall_time;
     engine_outcome;
     violations;
-    stalled = !stall }
+    stalled = !stall;
+    announce =
+      (if announce then
+         Some
+           { announce_messages = counters.announce_messages;
+             all_informed = Array.for_all Fun.id informed;
+             informed_at = counters.informed_at }
+       else None) }
 
 let run ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
-    ~seed config =
+    ?announce ~seed config =
   let coin = Election.coin ~a0:config.a0 ~n:config.n in
   run_with ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
-    ~seed config
+    ?announce ~seed config
     ~activates:(fun ~rng st -> Election.coin_activates coin ~rng st)
 
 (* Ablation: constant activation probability, ignoring d. *)
@@ -562,6 +618,9 @@ let pp_outcome ppf o =
     o.leader o.elected_at o.messages o.activations o.knockouts o.purges o.ticks;
   (* Appended only when a stall was detected, so every non-stalled outcome
      renders byte-identically to earlier releases. *)
-  match o.stalled with
-  | None -> ()
-  | Some reason -> Fmt.pf ppf " stalled=%S" reason
+  Option.iter (Fmt.pf ppf " stalled=%S") o.stalled;
+  Option.iter
+    (fun (a : announce) ->
+       Fmt.pf ppf " | announce=%d all_informed=%b informed_at=%.3f"
+         a.announce_messages a.all_informed a.informed_at)
+    o.announce

@@ -1,8 +1,9 @@
 (** Execution harness for the ABE election algorithm.
 
     Wires {!Election} into {!Abe_net.Network} on a unidirectional ring and
-    runs it to completion (leader elected) or to a budget limit, returning a
-    full accounting of the execution. *)
+    runs it to completion (leader elected, or with [~announce:true] every
+    node informed) or to a budget limit, returning a full accounting of
+    the execution. *)
 
 type config = {
   n : int;                             (** ring size (known to all nodes) *)
@@ -76,7 +77,8 @@ type outcome = {
   leader_count : int;         (** number of nodes in the leader phase; > 1
                                   would falsify the algorithm *)
   elected_at : float;         (** real time of election; [nan] if none *)
-  messages : int;             (** total link transmissions *)
+  messages : int;             (** election-token link transmissions;
+                                  announcements are not counted *)
   activations : int;          (** idle -> active transitions *)
   knockouts : int;            (** idle -> passive transitions *)
   purges : int;               (** token collisions at active nodes *)
@@ -111,7 +113,42 @@ type outcome = {
           breaking the ring (the token must traverse every link).  The
           engine outcome is then [Stopped] rather than a burned-out time
           limit.  [None] on every run that elected or was still live. *)
+  announce : announce option;
+      (** the announcement lap's accounting when the run was started with
+          [~announce:true]; [None] otherwise *)
 }
+
+(** Election with termination detection.  The paper's algorithm ends when
+    the winner enters the leader phase; the other nodes never learn that
+    the election is over.  The announcement lap is the standard fix: the
+    fresh leader circulates an announce token, every node records the
+    result and forwards it, and its return to the leader informs the
+    whole ring and halts the run.  It costs exactly [n] extra messages
+    and one ring traversal of time, so the linear average complexity is
+    kept.  The election phase before it is the paper's algorithm, draw
+    for draw. *)
+and announce = {
+  announce_messages : int;  (** exactly [n] on success; not counted in
+                                [messages] *)
+  all_informed : bool;      (** every node saw the announcement *)
+  informed_at : float;      (** real time the lap closed; [nan] if it did
+                                not *)
+}
+
+(** {2 Wire token}
+
+    One immediate carries a token: the hop counter the protocol reads and,
+    packed above it, the number of links the token has crossed, which
+    only the hop-soundness check reads.  Election hops are [1 .. n]; hop
+    [0] is the announcement.  The real backend sends the same value. *)
+
+type token = int
+
+val token : hop:int -> traversed:int -> token
+(** Requires [0 <= hop < 2{^31}] and [traversed >= 0]. *)
+
+val hop : token -> int
+val traversed : token -> int
 
 (** Token-forwarding rule, for oracle and liveness self-tests:
     {!Stale_max} reintroduces (seeded, clamped to [n]) the historical bug
@@ -130,6 +167,7 @@ val run :
   ?check:bool ->
   ?forwarding:forwarding ->
   ?wall_deadline:float ->
+  ?announce:bool ->
   seed:int ->
   config ->
   outcome
@@ -147,16 +185,18 @@ val run :
     of every token arrival), ["election/activation_time"] (real times of
     activations) and ["election/live_tokens"] (tokens in circulation,
     sampled at every activation and purge); gauges
-    ["election/elected_at"] and ["election/hops_at_election"].  Like
+    ["election/elected_at"] and ["election/hops_at_election"]; with
+    [announce], also the counter ["announce/messages"].  Like
     [check], recording is a pure observation: it draws no randomness and
     leaves every outcome field byte-identical.
 
     A [causal] span recorder (see {!Abe_sim.Causal}) receives the run's
     happens-before DAG from the network, plus the election-layer
     annotations: phase transitions as marks (["activate"], ["knockout"],
-    ["purge"], ["elected"]) attached to the handler span they happened
-    in, and the electing delivery's span nominated as the critical-path
-    sink ({!Abe_sim.Causal.set_sink}) for {!Abe_sim.Critpath.analyze}.
+    ["purge"], ["elected"], and ["informed"] when an announcement lap
+    closes) attached to the handler span they happened in, and the
+    electing delivery's span nominated as the critical-path sink
+    ({!Abe_sim.Causal.set_sink}) for {!Abe_sim.Critpath.analyze}.
     Also a pure observation — byte-identical outcomes.
 
     A [scheduler] (see {!Abe_sim.Engine}) delegates the delivery-order
@@ -172,7 +212,16 @@ val run :
     to the engine: a run still going when the wall clock passes it ends
     with [engine_outcome = Hit_wall_deadline], probed every 1024 events —
     this is how exploration keeps one long schedule from blowing through
-    a [--time-budget]. *)
+    a [--time-budget].
+
+    [announce] (default [false]) replaces the halt at election with the
+    announcement lap (see {!announce}); the run then stops when the lap
+    closes, and [announce] in the outcome is [Some _].  The lap draws
+    nothing, so [leader], [elected_at] and [stalled] are as without it.
+    The other counters keep running during the lap: [ticks] and the
+    engine counters include it, and a stray token still in flight or a
+    rejoined node activating again adds to [messages] and the phase
+    counters. *)
 
 val run_naive :
   ?trace:Abe_sim.Trace.t ->

@@ -12,24 +12,11 @@ type config = {
   spawn_mode : Cluster.spawn_mode;
 }
 
-let config ?(a0 = 0.3) ?(params = Params.default) ?delay
-    ?(loss_probability = 0.) ?(scale = 0.005) ?(wall_timeout = 60.)
-    ?(spawn_mode = Cluster.Domains) ~n () =
-  if n < 2 then invalid_arg "Elect_real.config: n must be >= 2";
-  if not (a0 > 0. && a0 < 1.) then
-    invalid_arg "Elect_real.config: a0 outside (0,1)";
-  let delay =
-    match delay with
-    | Some d -> d
-    | None -> Delay_model.abe_exponential ~delta:params.Params.delta
+let config ?a0 ?params ?delay ?(loss_probability = 0.) ?(scale = 0.005)
+    ?(wall_timeout = 60.) ?(spawn_mode = Cluster.Domains) ~n () =
+  let { Runner.a0; params; delay; _ } =
+    Runner.config ?a0 ?params ?delay ~n ()
   in
-  if not (Params.admits_delay params delay) then
-    invalid_arg
-      (Fmt.str
-         "Elect_real.config: delay model %a has expected delay %g > delta %g"
-         Delay_model.pp delay
-         (Delay_model.expected_delay delay)
-         params.Params.delta);
   if params.Params.gamma > 0. then
     invalid_arg
       "Elect_real.config: the real backend does not emulate processing time \
@@ -50,27 +37,22 @@ type outcome = {
   fidelity : Telemetry.Fidelity.summary;
 }
 
-(* The wire token mirrors Runner's: the hop counter the protocol reads
-   plus the traversed-links tag the hop-soundness invariant checks. *)
-module Token = struct
+(* The wire payload is Runner's packed token as one big-endian int64. *)
+module Ring = struct
   type state = Election.state
-  type message = { hop : int; traversed : int }
+  type message = Runner.token
 
-  let encode_message { hop; traversed } =
-    let b = Bytes.create 16 in
-    Bytes.set_int64_be b 0 (Int64.of_int hop);
-    Bytes.set_int64_be b 8 (Int64.of_int traversed);
+  let encode_message tok =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_be b 0 (Int64.of_int tok);
     Bytes.unsafe_to_string b
 
   let decode_message s =
-    if String.length s <> 16 then None
-    else
-      Some
-        { hop = Int64.to_int (String.get_int64_be s 0);
-          traversed = Int64.to_int (String.get_int64_be s 8) }
+    if String.length s <> 8 then None
+    else Some (Int64.to_int (String.get_int64_be s 0))
 end
 
-module C = Cluster.Make (Token)
+module C = Cluster.Make (Ring)
 
 let run ?metrics ?telemetry ?snapshots ~seed config =
   let cluster_config =
@@ -82,36 +64,40 @@ let run ?metrics ?telemetry ?snapshots ~seed config =
       wall_timeout = config.wall_timeout;
       spawn_mode = config.spawn_mode }
   in
+  (* Runner's coin, every entry filled before the workers spawn: the
+     workers share it and only read it. *)
+  let coin = Election.coin ~a0:config.a0 ~n:config.n in
+  for d = 1 to config.n do
+    ignore (Election.coin_probability coin ~d)
+  done;
   let handlers =
     { C.init = (fun _ctx -> Election.initial);
       on_tick =
         (fun ctx st ->
-           let st', activated =
-             Election.tick_decision ~a0:config.a0 ~rng:ctx.C.rng st
-           in
-           if activated then begin
+           if not (Election.coin_activates coin ~rng:ctx.C.rng st) then st
+           else begin
              ctx.C.mark ();
              ctx.C.note "activate";
              (* A fresh token starts with hop counter 1 and will have
                 traversed exactly one link on first arrival. *)
-             ctx.C.send 0 { Token.hop = 1; traversed = 1 }
-           end;
-           st');
+             ctx.C.send 0 (Runner.token ~hop:1 ~traversed:1);
+             { st with Election.phase = Election.Active }
+           end);
       on_message =
         (fun ctx st tok ->
-           if tok.Token.hop <> tok.Token.traversed then
+           let hop = Runner.hop tok and traversed = Runner.traversed tok in
+           if hop <> traversed then
              failwith
                (Printf.sprintf
                   "hop-soundness violated: token hop %d but traversed %d links"
-                  tok.Token.hop tok.Token.traversed);
-           let st', reaction = Election.receive ~n:config.n st tok.Token.hop in
+                  hop traversed);
+           let st', reaction = Election.receive ~n:config.n st hop in
            (* Phase-transition marks mirror Runner's exactly, so a merged
               real trace carries the same annotations as a sim trace. *)
            (match reaction with
             | Election.Forward hop' ->
               if st.Election.phase = Election.Idle then ctx.C.note "knockout";
-              ctx.C.send 0
-                { Token.hop = hop'; traversed = tok.Token.traversed + 1 }
+              ctx.C.send 0 (Runner.token ~hop:hop' ~traversed:(traversed + 1))
             | Election.Purge -> ctx.C.note "purge"
             | Election.Elected ->
               ctx.C.note "elected";

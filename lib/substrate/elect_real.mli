@@ -2,12 +2,13 @@
 
     Drives the {e same} pure {!Abe_core.Election} transition functions the
     simulator's {!Abe_core.Runner} wires up — nothing protocol-side changes
-    to run on sockets.  Tokens travel as 16-byte frames (hop counter plus
-    the traversed-links tag), the unidirectional ring is the topology, and
-    the reactions map exactly as in the runner: [Forward] sends
-    [hop + 1] on the single out-link, [Purge] swallows, [Elected] requests
-    global stop, making the stopping node the leader and the stop instant
-    [elected_at].
+    to run on sockets.  Ticks flip the runner's activation coin
+    ({!Abe_core.Election.coin_activates}), tokens travel as the runner's
+    packed {!Abe_core.Runner.token} in one 8-byte payload, the
+    unidirectional ring is the topology, and the reactions map exactly as
+    in the runner: [Forward] sends [hop + 1] on the single out-link,
+    [Purge] swallows, [Elected] requests global stop, making the stopping
+    node the leader and the stop instant [elected_at].
 
     Fidelity caveats (see DESIGN.md §6i): processing time is not emulated
     ([gamma] must be 0) and [elected_at] is wall-clock elapsed divided by
@@ -36,9 +37,11 @@ val config :
   n:int ->
   unit ->
   config
-(** Validated constructor, mirroring [Runner.config]: [n >= 2], [a0] in
-    (0,1), the delay model admissible for [params], and — substrate
-    restriction — [params.gamma = 0].  Raises [Invalid_argument]. *)
+(** Validated constructor: [n], [a0], [params] and [delay] go through
+    {!Abe_core.Runner.config} (same defaults, same checks: [n >= 2], [a0]
+    in (0,1), the delay model admissible for [params]), then the
+    substrate restriction [params.gamma = 0].  Raises
+    [Invalid_argument]. *)
 
 type outcome = {
   elected : bool;

@@ -70,7 +70,7 @@ let test_tick_idle_activation_rate () =
 
 (* The coin memoises [activation_probability]: every entry is bitwise the
    formula's value, and a coin tick draws and decides exactly as
-   [activates] does, phase by phase and [d] by [d]. *)
+   [tick_decision] does, phase by phase and [d] by [d]. *)
 let test_coin_matches_formula () =
   List.iter
     (fun (a0, n) ->
@@ -83,7 +83,7 @@ let test_coin_matches_formula () =
        done)
     [ (0.3, 16); (1. /. 16384., 128); (0.999, 7) ]
 
-let test_coin_activates_as_activates () =
+let test_coin_activates_as_tick_decision () =
   let n = 12 and a0 = 0.05 in
   let coin = Election.coin ~a0 ~n in
   let a = Abe_prob.Rng.create ~seed:9 in
@@ -95,7 +95,7 @@ let test_coin_activates_as_activates () =
            let st = state phase d in
            Alcotest.(check bool)
              (Printf.sprintf "round %d, d %d" round d)
-             (Election.activates ~a0 ~rng:a st)
+             (snd (Election.tick_decision ~a0 ~rng:a st))
              (Election.coin_activates coin ~rng:b st)
          done)
       [ Election.Idle; Election.Active; Election.Passive; Election.Leader ]
@@ -274,8 +274,8 @@ let () =
             test_tick_idle_activation_rate;
           Alcotest.test_case "coin entries are the formula" `Quick
             test_coin_matches_formula;
-          Alcotest.test_case "coin draws as activates" `Quick
-            test_coin_activates_as_activates ] );
+          Alcotest.test_case "coin draws as tick_decision" `Quick
+            test_coin_activates_as_tick_decision ] );
       ( "receive",
         [ Alcotest.test_case "idle -> passive" `Quick
             test_receive_idle_becomes_passive;

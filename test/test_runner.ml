@@ -210,42 +210,35 @@ let test_activation_times_increasing () =
   Array.sort Float.compare sorted;
   Alcotest.(check bool) "recorded in order" true (times = sorted)
 
+(* The announcement accounting of a run started with [~announce:true]. *)
+let announced o =
+  match o.Runner.announce with
+  | Some a -> a
+  | None -> Alcotest.fail "announcing run without announce accounting"
+
 let test_announce_completes () =
   for seed = 1 to 20 do
     let config = Runner.config ~n:8 ~a0:0.1 () in
-    let o = Announce.run ~seed config in
-    if not o.Announce.election.Runner.elected then
-      Alcotest.failf "seed %d: no leader" seed;
-    if not o.Announce.all_informed then
+    let o = Runner.run ~announce:true ~seed config in
+    let a = announced o in
+    if not o.Runner.elected then Alcotest.failf "seed %d: no leader" seed;
+    if not a.Runner.all_informed then
       Alcotest.failf "seed %d: not all nodes informed" seed;
     Alcotest.(check int) "announcement lap is exactly n messages" 8
-      o.Announce.announce_messages;
+      a.Runner.announce_messages;
     Alcotest.(check bool) "informed after elected" true
-      (o.Announce.informed_at >= o.Announce.election.Runner.elected_at)
+      (a.Runner.informed_at >= o.Runner.elected_at)
   done
-
-let test_announce_matches_plain_election () =
-  (* Same seed, same config: the election phase of the announcing variant
-     must match the plain runner exactly (the announcement only replaces
-     the halt). *)
-  let config = Runner.config ~n:8 ~a0:0.1 () in
-  let plain = Runner.run ~seed:5 config in
-  let announced = Announce.run ~seed:5 config in
-  Alcotest.(check bool) "same leader" true
-    (plain.Runner.leader = announced.Announce.election.Runner.leader);
-  Alcotest.(check int) "same election messages" plain.Runner.messages
-    announced.Announce.election.Runner.messages;
-  Alcotest.(check (float 1e-9)) "same election time" plain.Runner.elected_at
-    announced.Announce.election.Runner.elected_at
 
 let test_announce_n2 () =
   (* Smallest ring: the announcement lap is 2 messages. *)
   for seed = 1 to 10 do
     let config = Runner.config ~n:2 ~a0:0.3 () in
-    let o = Announce.run ~seed config in
-    Alcotest.(check bool) "elected" true o.Announce.election.Runner.elected;
-    Alcotest.(check bool) "informed" true o.Announce.all_informed;
-    Alcotest.(check int) "two announce messages" 2 o.Announce.announce_messages
+    let o = Runner.run ~announce:true ~seed config in
+    let a = announced o in
+    Alcotest.(check bool) "elected" true o.Runner.elected;
+    Alcotest.(check bool) "informed" true a.Runner.all_informed;
+    Alcotest.(check int) "two announce messages" 2 a.Runner.announce_messages
   done
 
 let test_mass_samples_recorded () =
@@ -428,12 +421,48 @@ let test_fault_runs_deterministic () =
        then Alcotest.failf "%s: outcome not deterministic" scenario)
     [ "bursty-loss"; "delay-spike"; "heavy-tail"; "crash" ]
 
+let test_announce_matches_plain_election () =
+  (* Same seed, same config, any fault scenario: the election phase of an
+     announcing run must match the plain runner exactly — the announcement
+     only replaces the halt.  Outages, rejoins and the crash-stall exit
+     included. *)
+  let n = 8 in
+  List.iter
+    (fun scenario ->
+       for seed = 1 to 20 do
+         let fault = fault_of scenario ~seed ~n in
+         let config =
+           Runner.config ~n ~a0:0.15 ~fault ~limit_time:300.
+             ~limit_events:300_000 ()
+         in
+         let plain = Runner.run ~seed config in
+         let o = Runner.run ~announce:true ~seed config in
+         let what field =
+           Printf.sprintf "%s, seed %d: %s" scenario seed field
+         in
+         Alcotest.(check (option int)) (what "leader") plain.Runner.leader
+           o.Runner.leader;
+         Alcotest.(check int64) (what "elected_at")
+           (Int64.bits_of_float plain.Runner.elected_at)
+           (Int64.bits_of_float o.Runner.elected_at);
+         Alcotest.(check (option string)) (what "stalled") plain.Runner.stalled
+           o.Runner.stalled;
+         (* Announcements are not counted as election messages.  (Under
+            faults the lap can outlive stray tokens or rejoined nodes that
+            plain runs cut off, so only the fault-free count is pinned.) *)
+         if scenario = "none" then
+           Alcotest.(check int) (what "messages") plain.Runner.messages
+             o.Runner.messages
+       done)
+    [ "none"; "bursty-loss"; "delay-spike"; "heavy-tail"; "crash"; "rejoin";
+      "link-down(0@1:40)"; "churn" ]
+
 let test_announce_checked_clean () =
   for seed = 1 to 10 do
     let config = Runner.config ~n:8 ~a0:0.1 () in
-    let o = Announce.run ~check:true ~seed config in
-    Alcotest.(check bool) "informed" true o.Announce.all_informed;
-    match o.Announce.election.Runner.violations with
+    let o = Runner.run ~announce:true ~check:true ~seed config in
+    Alcotest.(check bool) "informed" true (announced o).Runner.all_informed;
+    match o.Runner.violations with
     | [] -> ()
     | v :: _ -> fail_violation ~seed ~scenario:"announce" v
   done
@@ -455,10 +484,12 @@ let prop_announce_informs_everyone =
     QCheck.(pair (int_range 2 16) small_int)
     (fun (n, seed) ->
        let config = Runner.config ~n ~a0:0.15 () in
-       let o = Announce.run ~seed config in
-       o.Announce.election.Runner.elected
-       && o.Announce.all_informed
-       && o.Announce.announce_messages = n)
+       let o = Runner.run ~announce:true ~seed config in
+       match o.Runner.announce with
+       | Some a ->
+         o.Runner.elected && a.Runner.all_informed
+         && a.Runner.announce_messages = n
+       | None -> false)
 
 let prop_knockouts_bounded =
   QCheck.Test.make ~name:"knockouts bounded by n-1" ~count:40

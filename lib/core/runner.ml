@@ -233,7 +233,9 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
       oracle
   in
   let instruments = Option.map instruments_of metrics in
-  let record f = Option.iter f instruments in
+  (* Metric updates run as [match instruments with ...] at each site, and
+     the oracle and causal hooks likewise: a closure handed to [Option.iter]
+     would be allocated on every call, with or without a sink. *)
   let announce_counter =
     match metrics with
     | Some m when announce ->
@@ -251,7 +253,9 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
   (* Phase transitions as causal marks: instantaneous annotations attached
      to the handler span in which they happened. *)
   let cmark ~node ~time label =
-    Option.iter (fun c -> Abe_sim.Causal.mark c ~node ~time label) causal
+    match causal with
+    | None -> ()
+    | Some c -> Abe_sim.Causal.mark c ~node ~time label
   in
   (* Tokens in circulation: born at activation, absorbed at purge or
      election (forwarding keeps the token alive). *)
@@ -295,14 +299,14 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
      benchmarks opt out via [record_mass = false]. *)
   let sample_mass_now time =
     let sum_d = ref 0 and non_passive = ref 0 in
-    Array.iter
-      (fun st ->
-         match st.Election.phase with
-         | Election.Idle | Election.Active ->
-           sum_d := !sum_d + st.Election.d;
-           incr non_passive
-         | Election.Passive | Election.Leader -> ())
-      shadow;
+    for i = 0 to config.n - 1 do
+      let st = shadow.(i) in
+      match st.Election.phase with
+      | Election.Idle | Election.Active ->
+        sum_d := !sum_d + st.Election.d;
+        incr non_passive
+      | Election.Passive | Election.Leader -> ()
+    done;
     counters.mass_samples <- (time, !sum_d, !non_passive) :: counters.mass_samples
   in
   let sample_mass time = if config.record_mass then sample_mass_now time in
@@ -378,15 +382,15 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
     let time = ctx.Net.now () in
     let hop = hop tok and traversed = traversed tok in
     note_recv ctx.Net.node hop;
-    Option.iter
-      (fun o ->
-         if hop <> traversed then
-           Abe_sim.Oracle.reportf o ~time ~invariant:"hop-soundness"
-             ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-             "token hop %d but traversed %d links" hop traversed)
-      oracle;
-    record (fun i ->
-        Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
+    (match oracle with
+     | Some o when hop <> traversed ->
+       Abe_sim.Oracle.reportf o ~time ~invariant:"hop-soundness"
+         ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+         "token hop %d but traversed %d links" hop traversed
+     | Some _ | None -> ());
+    (match instruments with
+     | None -> ()
+     | Some i -> Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
     let st', reaction = Election.receive ~n:config.n st hop in
     shadow.(ctx.Net.node) <- st';
     record_phase time ctx.Net.node st st';
@@ -394,7 +398,9 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
      | Election.Forward hop' ->
        if st.Election.phase = Election.Idle then begin
          counters.knockouts <- counters.knockouts + 1;
-         record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
+         (match instruments with
+          | None -> ()
+          | Some i -> Abe_sim.Metrics.incr i.m_knockouts);
          cmark ~node:ctx.Net.node ~time "knockout";
          sample_mass time
        end;
@@ -413,18 +419,22 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
           note_send (successor ctx.Net.node) out_hop)
      | Election.Purge ->
        counters.purges <- counters.purges + 1;
-       record (fun i ->
-           Abe_sim.Metrics.incr i.m_purges;
-           Abe_sim.Metrics.observe i.m_live_tokens
-             (float_of_int (live_tokens ())));
+       (match instruments with
+        | None -> ()
+        | Some i ->
+          Abe_sim.Metrics.incr i.m_purges;
+          Abe_sim.Metrics.observe i.m_live_tokens
+            (float_of_int (live_tokens ())));
        cmark ~node:ctx.Net.node ~time "purge";
        sample_mass time
      | Election.Elected ->
        counters.elections <- counters.elections + 1;
-       record (fun i ->
-           Abe_sim.Metrics.set_gauge i.m_elected_at time;
-           Abe_sim.Metrics.set_gauge i.m_hops_at_election
-             (float_of_int traversed));
+       (match instruments with
+        | None -> ()
+        | Some i ->
+          Abe_sim.Metrics.set_gauge i.m_elected_at time;
+          Abe_sim.Metrics.set_gauge i.m_hops_at_election
+            (float_of_int traversed));
        Option.iter
          (fun o ->
             if traversed <> config.n then
@@ -470,11 +480,13 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
              counters.activation_times.(k) <- time;
              counters.activations <- k + 1;
              cmark ~node:ctx.Net.node ~time "activate";
-             record (fun i ->
-                 Abe_sim.Metrics.incr i.m_activations;
-                 Abe_sim.Metrics.observe i.m_activation_time time;
-                 Abe_sim.Metrics.observe i.m_live_tokens
-                   (float_of_int (live_tokens ())));
+             (match instruments with
+              | None -> ()
+              | Some i ->
+                Abe_sim.Metrics.incr i.m_activations;
+                Abe_sim.Metrics.observe i.m_activation_time time;
+                Abe_sim.Metrics.observe i.m_live_tokens
+                  (float_of_int (live_tokens ())));
              (* A fresh token starts with hop counter 1, and will have
                 traversed exactly one link when it first arrives. *)
              ctx.Net.send 0 (token ~hop:1 ~traversed:1);

@@ -343,10 +343,15 @@ module Make (P : PROTOCOL) = struct
       t.env_start.(i) <- t.occ.(0);
       t.env_completion.(i) <- t.busy.(dst.id);
       t.env_inc.(i) <- dst.incarnation;
-      ignore
-        (Engine.schedule_tagged t.engine ~tag:(node_class t dst.id)
-           ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
-           t.busy dst.id t.env_complete.(i))
+      (* Processing that takes no time completes now: run the completion
+         inline when it would be the engine's next event anyway. *)
+      if t.busy.(dst.id) = arrival && Engine.claim_now t.engine then
+        complete_slot t i
+      else
+        ignore
+          (Engine.schedule_tagged t.engine ~tag:(node_class t dst.id)
+             ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
+             t.busy dst.id t.env_complete.(i))
     end
 
   let grow_env_pool t filler =
@@ -562,12 +567,16 @@ module Make (P : PROTOCOL) = struct
     t.tc_next.(i) <- t.tc_free;
     t.tc_free <- i
 
-  (* Runs at a tick's processing-completion instant: deliver the tick to
-     the handler. *)
-  let tick_complete t i =
-    let id = t.tc_node.(i) in
+  (* Deliver a tick to node [id]'s handler at its processing-completion
+     instant, unless the node crashed or rejoined since the tick was
+     taken up under incarnation [inc].  The tick's arrival, start and
+     completion instants are [ticks.(k)], [starts.(k)] and
+     [completions.(k)]: read from flat arrays, so no float is boxed on the
+     way in.  The pooled completion passes the pool's arrays, the inline
+     one [busy] three times. *)
+  let deliver_tick t id inc ticks starts completions k =
     let node = t.nodes.(id) in
-    if (not node.is_crashed) && node.incarnation = t.tc_inc.(i) then begin
+    if (not node.is_crashed) && node.incarnation = inc then begin
       t.net_stats.ticks <- t.net_stats.ticks + 1;
       (match t.instruments with
        | None -> ()
@@ -579,23 +588,27 @@ module Make (P : PROTOCOL) = struct
            (Tick
               { node = id;
                 local_time =
-                  Clock.local_time node.clock ~real:t.tc_completion.(i) }));
+                  Clock.local_time node.clock ~real:completions.(k) }));
       (* A [match], not [Option.iter] over a closure: the closure would be
          allocated on every tick, recorder or not. *)
       (match t.causal with
        | None -> ()
        | Some c ->
          let span =
-           Causal.process c ~node:id ~label:"tick"
-             ~t_begin:t.tc_tick.(i) ~t_busy:t.tc_start.(i)
-             ~t_end:t.tc_completion.(i) ()
+           Causal.process c ~node:id ~label:"tick" ~t_begin:ticks.(k)
+             ~t_busy:starts.(k) ~t_end:completions.(k) ()
          in
          Causal.set_current c (Some span));
-      let ctx = t.contexts.(id) in
-      free_tick t i;
-      t.states.(id) <- t.handlers.on_tick ctx t.states.(id)
+      t.states.(id) <- t.handlers.on_tick t.contexts.(id) t.states.(id)
     end
-    else free_tick t i
+
+  (* Runs at a pooled tick completion's instant.  The slot is released
+     first: nothing before the handler takes a slot, so its instants stay
+     readable until [deliver_tick] is done with them. *)
+  let tick_complete t i =
+    free_tick t i;
+    deliver_tick t t.tc_node.(i) t.tc_inc.(i) t.tc_tick t.tc_start
+      t.tc_completion i
 
   let grow_tc_pool t =
     let old = Array.length t.tc_node in
@@ -625,11 +638,20 @@ module Make (P : PROTOCOL) = struct
       t.tc_free <- i
     done
 
-  let alloc_tick t =
+  (* Schedule node [id]'s tick completion through the pool: the tick
+     arrived at [ticks.(id)], started at [t.occ.(0)] and completes at
+     [t.busy.(id)]. *)
+  let schedule_tick_completion t id inc ~tag ~footprint ticks =
     if t.tc_free < 0 then grow_tc_pool t;
     let i = t.tc_free in
     t.tc_free <- t.tc_next.(i);
-    i
+    t.tc_node.(i) <- id;
+    t.tc_tick.(i) <- ticks.(id);
+    t.tc_start.(i) <- t.occ.(0);
+    t.tc_completion.(i) <- t.busy.(id);
+    t.tc_inc.(i) <- inc;
+    ignore
+      (Engine.schedule_tagged t.engine ~tag ~footprint t.busy id t.tc_run.(i))
 
   (* Tick generation: one self-rescheduling event chain per node, firing at
      the node's integer local-clock times.  Ticks queue behind other work on
@@ -637,7 +659,18 @@ module Make (P : PROTOCOL) = struct
      reuses a single [fire] closure per node — the pending tick's instant
      lives in [t.tick_time.(id)], which is safe scratch because at most one
      chain event per node is pending at a time; the completion, which can
-     overlap with later ticks, goes through the tick-completion pool. *)
+     overlap with later ticks, goes through the tick-completion pool.
+
+     When processing takes no time (γ = 0), the completion is due at the
+     fire's own instant and the next fire strictly later ([Clock.next_tick]
+     moves forward).  The next fire is then scheduled first: the pair
+     swaps sequence numbers, which reorders nothing because their times
+     differ and no other event's number falls between theirs.  The
+     completion is left as what would be scheduled last, so when nothing
+     else is due now it is the engine's next event, and [Engine.claim_now]
+     lets the fire deliver the tick itself: one dispatch per tick instead
+     of two.  Under a scheduler, which may clamp both times to the clock,
+     the completion is scheduled before the next fire. *)
   let start_ticks t node ~after =
     let tag = node_class t node.id in
     let id = node.id in
@@ -653,19 +686,21 @@ module Make (P : PROTOCOL) = struct
       if (not node.is_crashed) && node.incarnation = chain_inc then begin
         let tick_time = t.tick_time.(id) in
         occupy t node ~arrival:tick_time;
-        let i = alloc_tick t in
-        t.tc_node.(i) <- id;
-        t.tc_tick.(i) <- tick_time;
-        t.tc_start.(i) <- t.occ.(0);
-        t.tc_completion.(i) <- t.busy.(id);
-        t.tc_inc.(i) <- chain_inc;
-        ignore
-          (Engine.schedule_tagged t.engine ~tag ~footprint:foot_handler
-             t.busy id t.tc_run.(i));
+        let now_done = t.busy.(id) = tick_time && not t.foot_on in
+        if not now_done then
+          schedule_tick_completion t id chain_inc ~tag ~footprint:foot_handler
+            t.tick_time;
         Clock.advance_tick node.clock t.tick_time id;
         ignore
           (Engine.schedule_tagged t.engine ~tag ~footprint:foot_fire
-             t.tick_time id fire)
+             t.tick_time id fire);
+        if now_done then begin
+          if Engine.claim_now t.engine then
+            deliver_tick t id chain_inc t.busy t.busy t.busy id
+          else
+            schedule_tick_completion t id chain_inc ~tag
+              ~footprint:foot_handler t.busy
+        end
       end
     in
     t.tick_time.(id) <- after;

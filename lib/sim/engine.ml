@@ -37,7 +37,20 @@
    through a heap or run pop, which happens when the lane is empty; and
    both the eviction and the time-limit re-enqueue keep the event's
    original [seq].  Under a scheduler every event goes through the heap,
-   so [choose_from] sees every candidate. *)
+   so [choose_from] sees every candidate.
+
+   Claims.  An event scheduled at the current instant gets the highest
+   [seq] yet, so in [(time, seq)] order it comes after every live event
+   already due now and before everything later.  When no live event is
+   due now (the lane holds none, and neither the run head nor the heap
+   root, read with [Pqueue.peek], is at the clock), it is the very next
+   pop.  [claim_now] checks exactly that, plus what the loop head would
+   check before popping it ([stop], the event budget, the wall deadline),
+   and books the event as scheduled and executed: one [seq], one
+   [executed], and the [max_depth] it would have reached.  The caller runs
+   the body inline as its last act, which is where the loop would have
+   run it.  Only [run_fast] grants claims: the other loops observe every
+   event, and a scheduler may pick another. *)
 
 type candidate = {
   c_time : float;
@@ -116,12 +129,14 @@ type t = {
                            clock never boxes a float *)
   time_arg : float array;  (* length 1: where [schedule]/[schedule_at] put
                               the time they hand to [schedule_tagged] *)
+  root_time : float array;  (* length 1: [Pqueue.peek]'s root priority *)
   mutable seq : int;
   mutable executed : int;
   mutable live : int;  (* pending, non-cancelled events *)
   mutable max_depth : int;  (* high-water mark of [live] *)
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
+  mutable claims : bool;  (* inside [run_fast]: [claim_now] may say yes *)
   mutable observer : (float -> unit) option;
   mutable digest_source : (unit -> int) option;
   instruments : instruments option;
@@ -165,12 +180,14 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
     free_head = -1;
     clock = [| 0. |];
     time_arg = [| 0. |];
+    root_time = [| 0. |];
     seq = 0;
     executed = 0;
     live = 0;
     max_depth = 0;
     wall = 0.;
     stop_requested = false;
+    claims = false;
     observer = None;
     digest_source = None;
     instruments;
@@ -395,37 +412,37 @@ let announce t ~time slot =
 (* Pop arena slots until a non-cancelled one is found ([-1] when drained);
    cancelled slots are collected back into the freelist here.  With both
    rings empty (always, under a scheduler) this is a plain heap pop.
-   Otherwise [next] is the earlier of the heap root and the run head by
-   [(time, seq)]; it goes before the lane when it is due at the current
+   Otherwise the next non-lane event is the earlier of the heap root (its
+   key read by [Pqueue.peek], off the heap's own arrays) and the run head
+   by [(time, seq)]; it goes before the lane when it is due at the current
    instant (see the header). *)
 let rec pop_live_slot t =
   let run = t.run and lane = t.lane in
   let slot =
     if run.len = 0 && lane.len = 0 then Pqueue.pop_value t.queue
     else begin
-      let root = Pqueue.min_value t.queue in
-      let next =
-        if run.len = 0 then root
-        else
-          let head = Array.unsafe_get run.slots run.head in
-          if root < 0 then head
-          else
+      let root_seq = Pqueue.peek t.queue t.root_time in
+      let head =
+        if run.len = 0 then -1 else Array.unsafe_get run.slots run.head
+      in
+      let from_heap =
+        root_seq >= 0
+        && (head < 0
+            ||
             let th = Array.unsafe_get t.ev_time head
-            and tr = Array.unsafe_get t.ev_time root in
-            if
-              th < tr
-              || (th = tr
-                  && Array.unsafe_get t.ev_eseq head
-                     < Array.unsafe_get t.ev_eseq root)
-            then head
-            else root
+            and tr = Array.unsafe_get t.root_time 0 in
+            tr < th || (tr = th && root_seq < Array.unsafe_get t.ev_eseq head))
       in
       if
         lane.len > 0
-        && (next < 0
-            || Array.unsafe_get t.ev_time next <> Array.unsafe_get t.clock 0)
+        && not
+             (if from_heap then
+                Array.unsafe_get t.root_time 0 = Array.unsafe_get t.clock 0
+              else
+                head >= 0
+                && Array.unsafe_get t.ev_time head = Array.unsafe_get t.clock 0)
       then ring_pop lane
-      else if next = root then Pqueue.pop_value t.queue
+      else if from_heap then Pqueue.pop_value t.queue
       else ring_pop run
     end
   in
@@ -523,6 +540,7 @@ let execute t ~time slot =
   notify t time
 
 let step t =
+  t.claims <- false;  (* a [run] cut short by an exception leaves it set *)
   match t.scheduler with
   | None ->
     let slot = pop_live_slot t in
@@ -540,12 +558,6 @@ let step t =
       true
     end
 
-(* The monomorphic fast loop: no observer, metrics, causal recorder or
-   scheduler — and therefore not a single observation branch per event.
-   Identical (time, seq) pop order to the instrumented loops, so outcomes
-   are byte-identical; an over-budget event is re-enqueued under its
-   original [eseq] so it is not demoted behind same-priority peers on
-   resume. *)
 (* Coarse wall-clock deadline probe: the [gettimeofday] syscall is paid at
    most once per 1024 executed events, and never when no deadline is set,
    so the fast loop stays a float compare away from its deadline-free
@@ -556,6 +568,60 @@ let past_wall_deadline t =
   && t.executed land 1023 = 0
   && Unix.gettimeofday () > t.wall_deadline
 
+(* The first live slot of ring [r], or [-1]; cancelled slots in front of
+   it are collected on the way, as [pop_live_slot] would. *)
+let rec live_head t r =
+  if r.len = 0 then -1
+  else
+    let slot = Array.unsafe_get r.slots r.head in
+    if Array.unsafe_get t.ev_state slot = st_cancelled then begin
+      ignore (ring_pop r);
+      free_slot t slot;
+      live_head t r
+    end
+    else slot
+
+let rec heap_due_now t =
+  Pqueue.peek t.queue t.root_time >= 0
+  && Array.unsafe_get t.root_time 0 = Array.unsafe_get t.clock 0
+  &&
+  let slot = Pqueue.min_value t.queue in
+  Array.unsafe_get t.ev_state slot <> st_cancelled
+  || begin
+    ignore (Pqueue.pop_value t.queue);
+    free_slot t slot;
+    heap_due_now t
+  end
+
+(* Some live event is due at the current instant.  Each queue is sorted and
+   holds nothing earlier than the clock, so its first live entry tells. *)
+let due_now t =
+  live_head t t.lane >= 0
+  || (let head = live_head t t.run in
+      head >= 0
+      && Array.unsafe_get t.ev_time head = Array.unsafe_get t.clock 0)
+  || heap_due_now t
+
+(* See "Claims" in the header. *)
+let claim_now t =
+  t.claims
+  && (not t.stop_requested)
+  && t.executed < t.limit_events
+  && (not (past_wall_deadline t))
+  && (not (due_now t))
+  && begin
+    t.seq <- t.seq + 1;
+    t.executed <- t.executed + 1;
+    if t.live >= t.max_depth then t.max_depth <- t.live + 1;
+    true
+  end
+
+(* The monomorphic fast loop: no observer, metrics, causal recorder or
+   scheduler — and therefore not a single observation branch per event.
+   Identical (time, seq) pop order to the instrumented loops, so outcomes
+   are byte-identical; an over-budget event is re-enqueued under its
+   original [eseq] so it is not demoted behind same-priority peers on
+   resume. *)
 let run_fast t =
   let rec loop () =
     if t.stop_requested then Stopped
@@ -638,10 +704,11 @@ let run t =
     match t.scheduler with
     | Some sched -> run_scheduled t sched
     | None ->
-      if t.instruments == None && t.causal == None && t.observer == None
-      then run_fast t
-      else run_instrumented t
+      t.claims <-
+        t.instruments == None && t.causal == None && t.observer == None;
+      if t.claims then run_fast t else run_instrumented t
   in
+  t.claims <- false;
   t.wall <- t.wall +. (Unix.gettimeofday () -. started);
   outcome
 

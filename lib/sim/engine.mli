@@ -27,7 +27,10 @@
     scheduler is attached, [run] enters a monomorphic fast loop with no
     per-event observation branches and no per-event allocation.  Both loops
     pop in identical [(time, seq)] order, so executions are byte-identical
-    whichever is selected. *)
+    whichever is selected.  Inside the fast loop, an action may also
+    {!claim_now} the event it would schedule at the current instant and
+    run it inline, when that event would be the very next one popped:
+    one dispatch instead of two, the same execution. *)
 
 type t
 
@@ -165,6 +168,20 @@ val schedule_tagged :
     optional argument costs the caller a [Some] per call, and a [float]
     argument a boxed float, while the time here stays in the caller's
     flat array. *)
+
+val claim_now : t -> bool
+(** [claim_now t] is [true] when an event scheduled now, at [now t], would
+    be the very next one executed, and the caller may run its body inline
+    instead, as the last thing its own action does.  That holds only
+    inside {!run}'s fast loop (never under {!step}, an observer, metrics,
+    a causal recorder or a scheduler), when no live event is due at
+    [now t] (every one would have a lower sequence number and go first),
+    when {!stop} has not been requested, and when neither the event nor
+    the wall-clock budget stops the run before that event.  On [true] the
+    engine books the event as scheduled and executed: one sequence
+    number, one executed event, and the pending-count high-water mark the
+    event would have reached.  Executions are therefore the same as when
+    scheduling it at delay 0; on [false] the caller does exactly that. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; cancelling an executed or already-cancelled

@@ -83,6 +83,13 @@ let min_priority t = if t.len = 0 then None else Some t.prio.(0)
 
 let min_value t = if t.len = 0 then -1 else t.value.(0)
 
+let peek t cell =
+  if t.len = 0 then -1
+  else begin
+    cell.(0) <- Array.unsafe_get t.prio 0;
+    Array.unsafe_get t.seq 0
+  end
+
 (* Bottom-up deletion: run a hole from the root down the min-child path to
    a leaf (one comparison and one element copy per level), then drop the
    displaced last element into the hole and sift it up.  In the typical

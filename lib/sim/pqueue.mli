@@ -9,8 +9,8 @@
     {!Engine}'s event arena).  Priorities live in a flat [float array],
     sequence numbers and payloads in [int array]s — no per-entry record, no
     option box, and the hot operations ({!add_at}, {!pop_value},
-    {!min_value}) neither allocate nor box a float across the module
-    boundary. *)
+    {!min_value}, {!peek}) neither allocate nor box a float across the
+    module boundary. *)
 
 type t
 
@@ -34,6 +34,12 @@ val min_priority : t -> float option
 val min_value : t -> int
 (** Payload of the minimum element without removing it; [-1] when empty.
     Allocation-free. *)
+
+val peek : t -> float array -> int
+(** [peek t cell] returns the minimum element's sequence number and stores
+    its priority in [cell.(0)]; [-1] when empty, leaving [cell] untouched.
+    Both halves of the key come off the heap's own arrays, and the float
+    travels through the caller's flat cell, so nothing is boxed. *)
 
 val pop : t -> (float * int) option
 (** Remove and return the minimum element with its priority. *)

@@ -410,14 +410,21 @@ let test_wall_deadline_past_exits_promptly () =
    (direct heap inserts and tail evictions), cancel live and stale
    handles, stop, and hit both budgets; each is driven through [run] and
    [step], on the fast loop, the observed loop and a window-0 scheduler
-   that always picks the earliest candidate. *)
+   that always picks the earliest candidate.  An event may also end by
+   claiming its successor ([Engine.claim_now]) and running it inline; the
+   model claims exactly when the engine must: inside a fast-loop [run],
+   with no pending event due now, [stop] not requested and the event
+   budget not spent. *)
 
 type op =
   | Delay of float * int  (* schedule program [p] after [delay] *)
   | At of float * int     (* schedule program [p] at [max now time] *)
   | Again of float        (* schedule this event's program after [delay] *)
-  | Cancel of int         (* cancel handle [k mod handles so far] *)
+  | Cancel of int         (* cancel the [k mod handles so far]-th newest
+                             handle *)
   | Stop
+  | Now of int            (* as an event's last op: claim program [p] and
+                             run it inline, else schedule it at delay 0 *)
 
 type drive = Run | Step
 
@@ -439,9 +446,12 @@ type 'h backend = {
   at : float -> (unit -> unit) -> 'h;
   cancel : 'h -> unit;
   stop : unit -> unit;
+  claim : unit -> bool;
   run : unit -> string;
   step : unit -> bool;
   pending : unit -> int;
+  executed : unit -> int;
+  max_depth : unit -> int;
 }
 
 (* Enough to exercise every path, and a bound that keeps programs finite. *)
@@ -451,13 +461,33 @@ let execute_program prog be =
   let log = ref [] in
   let handles = Hashtbl.create 64 in
   let spawned = ref 0 in
-  let rec exec self ops = List.iter (op self) ops
+  let rec exec self = function
+    | [] -> ()
+    | [ Now p ] ->
+      (* A claimed event runs inline as its claimer's last act.  Claims
+         are logged: refusing one the model grants would change nothing
+         else, by design. *)
+      spawn p (fun act ->
+          if be.claim () then begin
+            log := "claimed" :: !log;
+            act ();
+            None
+          end
+          else Some (be.after 0. act))
+    | o :: rest ->
+      op self o;
+      exec self rest
   and op self = function
-    | Delay (delay, p) -> spawn p (fun act -> be.after delay act)
-    | At (time, p) -> spawn p (fun act -> be.at (Float.max (be.now ()) time) act)
-    | Again delay -> spawn self (fun act -> be.after delay act)
+    | Delay (delay, p) -> spawn p (fun act -> Some (be.after delay act))
+    | At (time, p) ->
+      spawn p (fun act -> Some (be.at (Float.max (be.now ()) time) act))
+    | Again delay -> spawn self (fun act -> Some (be.after delay act))
+    | Now p -> spawn p (fun act -> Some (be.after 0. act))
     | Cancel k ->
-      if !spawned > 0 then be.cancel (Hashtbl.find handles (k mod !spawned))
+      (* A claimed event has no handle: it already ran. *)
+      if !spawned > 0 then
+        Option.iter be.cancel
+          (Hashtbl.find_opt handles (!spawned - 1 - (k mod !spawned)))
     | Stop -> be.stop ()
   and spawn p schedule =
     if !spawned < max_spawned then begin
@@ -467,7 +497,7 @@ let execute_program prog be =
         log := Printf.sprintf "event %d at %g" id (be.now ()) :: !log;
         exec p prog.bodies.(p)
       in
-      Hashtbl.replace handles id (schedule action)
+      Option.iter (Hashtbl.replace handles id) (schedule action)
     end
   in
   exec 0 prog.initial;
@@ -484,7 +514,10 @@ let execute_program prog be =
     end
   in
   drive 0;
-  List.rev !log
+  List.rev
+    (Printf.sprintf "executed %d, max depth %d" (be.executed ())
+       (be.max_depth ())
+     :: !log)
 
 let string_of_outcome = function
   | Engine.Drained -> "drained"
@@ -513,9 +546,12 @@ let on_engine prog =
       at = (fun time act -> Engine.schedule_at e ~time act);
       cancel = Engine.cancel e;
       stop = (fun () -> Engine.stop e);
+      claim = (fun () -> Engine.claim_now e);
       run = (fun () -> string_of_outcome (Engine.run e));
       step = (fun () -> Engine.step e);
-      pending = (fun () -> Engine.pending_events e) }
+      pending = (fun () -> Engine.pending_events e);
+      executed = (fun () -> Engine.executed_events e);
+      max_depth = (fun () -> Engine.max_queue_depth e) }
 
 (* The reference: every pending event in one list, the next one found by a
    linear scan for the least (time, seq).  Handles are sequence numbers. *)
@@ -524,11 +560,27 @@ type entry = { e_time : float; e_seq : int; e_action : unit -> unit }
 let on_model prog =
   let clock = ref 0. and seq = ref 0 and pending = ref [] in
   let stop_requested = ref false and executed = ref 0 in
+  let max_depth = ref 0 and in_fast_run = ref false in
+  let raise_depth depth = if depth > !max_depth then max_depth := depth in
   let add time action =
     let s = !seq in
     incr seq;
     pending := { e_time = time; e_seq = s; e_action = action } :: !pending;
+    raise_depth (List.length !pending);
     s
+  in
+  (* An event scheduled now would be the least (time, seq) exactly when no
+     pending event is due now; the run's loop would then execute it next
+     unless [stop] or the event budget ends the run first. *)
+  let claim () =
+    !in_fast_run && (not !stop_requested) && !executed < prog.limit_events
+    && not (List.exists (fun e -> e.e_time = !clock) !pending)
+    && begin
+      incr seq;
+      incr executed;
+      raise_depth (List.length !pending + 1);
+      true
+    end
   in
   let first () =
     List.fold_left
@@ -562,10 +614,14 @@ let on_model prog =
       cancel =
         (fun s -> pending := List.filter (fun x -> x.e_seq <> s) !pending);
       stop = (fun () -> stop_requested := true);
+      claim;
       run =
         (fun () ->
            stop_requested := false;
-           run ());
+           in_fast_run := prog.mode = Fast;
+           let outcome = run () in
+           in_fast_run := false;
+           outcome);
       step =
         (fun () ->
            match first () with
@@ -573,7 +629,9 @@ let on_model prog =
            | Some e ->
              fire e;
              true);
-      pending = (fun () -> List.length !pending) }
+      pending = (fun () -> List.length !pending);
+      executed = (fun () -> !executed);
+      max_depth = (fun () -> !max_depth) }
 
 (* Times on a quarter grid, so inserts often land exactly at the run's
    tail or at the entry before it; [Again] makes periodic chains, and
@@ -590,8 +648,10 @@ let gen_program =
              (oneofl [ 0.; 1.; 1.25; 2.; 2.5; 3. ])
              (int_bound (n_bodies - 1)));
         (3, map (fun d -> Again d) (oneofl [ 1.; 1.; 0.75; 2. ]));
-        (1, map (fun k -> Cancel k) (int_bound 120));
-        (1, return Stop) ]
+        (1, map (fun k -> Cancel k)
+             (frequency [ (1, int_bound 2); (1, int_bound 120) ]));
+        (1, return Stop);
+        (3, map (fun p -> Now p) (int_bound (n_bodies - 1))) ]
   in
   let* bodies = array_size (return n_bodies) (list_size (int_bound 4) gen_op) in
   let* initial = list_size (int_range 1 8) gen_op in
@@ -611,6 +671,7 @@ let print_program prog =
     | Again d -> Printf.sprintf "again after %g" d
     | Cancel k -> Printf.sprintf "cancel h%d" k
     | Stop -> "stop"
+    | Now p -> Printf.sprintf "now: p%d" p
   in
   let ops l = "[" ^ String.concat "; " (List.map op l) ^ "]" in
   Printf.sprintf "mode %s, limit_events %d, limit_time %g, drives [%s]\ninitial %s\n%s"

@@ -760,6 +760,116 @@ let test_per_node_stats () =
   Alcotest.(check int) "node 1 received all" 100
     stats.Network.delivered_per_node.(1)
 
+(* A token ring: node 0 launches a token at init and on some ticks, and
+   each receiver forwards it with probability 0.9, so ticks and messages
+   interleave at shared and distinct instants.  Every node crashes at
+   t = 40, after which the queue drains. *)
+let token_ring ~gamma =
+  let n = 8 in
+  let config =
+    { (Net.default_config ~topology:(Topology.ring n)
+         ~delay:(Delay_model.abe_exponential ~delta:1.))
+      with
+      Net.proc_delay =
+        (if gamma > 0. then Some (Abe_prob.Dist.exponential ~mean:gamma)
+         else None);
+      crash_times = List.init n (fun node -> (node, 40.)) }
+  in
+  let handlers : Net.handlers =
+    { init =
+        (fun ctx ->
+           if ctx.Net.node = 0 then ctx.Net.send 0 0;
+           { Proto.received = []; ticks = 0 });
+      on_message =
+        (fun ctx st v ->
+           if Abe_prob.Rng.bernoulli ctx.Net.rng 0.9 then
+             ctx.Net.send 0 (v + 1);
+           { st with
+             Proto.received = (v, ctx.Net.now ()) :: st.Proto.received });
+      on_tick =
+        (fun ctx st ->
+           if ctx.Net.node = 0 && Abe_prob.Rng.bernoulli ctx.Net.rng 0.2 then
+             ctx.Net.send 0 0;
+           { st with Proto.ticks = st.Proto.ticks + 1 }) }
+  in
+  (config, handlers)
+
+(* Without a sink the engine runs its fast loop, where a completion due at
+   its arrival instant is claimed and run inline; a metrics registry
+   forces the instrumented loop, which never claims.  Both must run the
+   same execution, stop at the same event budget, and release every
+   pooled envelope and tick completion once drained. *)
+let test_fused_matches_instrumented () =
+  List.iter
+    (fun gamma ->
+       let config, handlers = token_ring ~gamma in
+       for seed = 1 to 10 do
+         List.iter
+           (fun limit_events ->
+              let run metrics =
+                let net =
+                  Net.create ?metrics ?limit_events ~seed config handlers
+                in
+                let outcome = Net.run net in
+                if outcome = Abe_sim.Engine.Drained then begin
+                  Alcotest.(check int) "envelopes released" 0
+                    (Net.envelopes_in_use net);
+                  Alcotest.(check int) "tick completions released" 0
+                    (Net.tick_completions_in_use net)
+                end;
+                let c = Net.counters net in
+                ( outcome,
+                  c.Abe_sim.Engine.executed,
+                  c.Abe_sim.Engine.max_queue_depth,
+                  Net.stats net,
+                  Net.states net )
+              in
+              let what =
+                Printf.sprintf "gamma %g, seed %d, limit %s" gamma seed
+                  (match limit_events with
+                   | None -> "none"
+                   | Some k -> string_of_int k)
+              in
+              if run None <> run (Some (Abe_sim.Metrics.create ())) then
+                Alcotest.failf "%s: fused and instrumented runs differ" what)
+           (None :: List.init 8 (fun k -> Some (k + 1)))
+       done)
+    [ 0.; 0.05 ]
+
+(* A null-protocol ring with ticks on, the idle rounds of an election: each
+   tick's completion is due at its own instant and runs inline.  After
+   construction and a warm-up that sizes the engine's queues, the fast
+   loop must allocate nothing per event: a float boxed on the tick path
+   (say, an instant passed to a helper that is not inlined) shows up here
+   as 16 B or more per tick. *)
+let test_ticking_ring_allocates_nothing () =
+  let ticks = ref 0 and stop_at = ref 10_000 in
+  let handlers : Net.handlers =
+    { init = (fun _ -> { Proto.received = []; ticks = 0 });
+      on_message = (fun _ st _ -> st);
+      on_tick =
+        (fun ctx st ->
+           incr ticks;
+           if !ticks = !stop_at then ctx.Net.stop ();
+           st) }
+  in
+  let config =
+    Net.default_config ~topology:(Topology.ring 128)
+      ~delay:(Delay_model.abe_exponential ~delta:1.)
+  in
+  let net = Net.create ~seed:1 config handlers in
+  ignore (Net.run net);
+  stop_at := 210_000;
+  let events () = (Net.counters net).Abe_sim.Engine.executed in
+  let e0 = events () and w0 = Gc.minor_words () in
+  let outcome = Net.run net in
+  let w1 = Gc.minor_words () and e1 = events () in
+  Alcotest.(check bool) "stopped" true (outcome = Abe_sim.Engine.Stopped);
+  let bytes_per_event = (w1 -. w0) *. 8. /. float_of_int (e1 - e0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d events, %.4f B/event" (e1 - e0) bytes_per_event)
+    true (bytes_per_event < 1.)
+
 let prop_conservation =
   QCheck.Test.make ~name:"sent = delivered + lost + in-flight(0 after drain)"
     ~count:60
@@ -827,6 +937,11 @@ let () =
       ( "observer",
         [ Alcotest.test_case "sees every event" `Quick
             test_observer_sees_every_event ] );
+      ( "fast loop",
+        [ Alcotest.test_case "fused matches instrumented" `Quick
+            test_fused_matches_instrumented;
+          Alcotest.test_case "ticking ring allocates nothing" `Quick
+            test_ticking_ring_allocates_nothing ] );
       ( "determinism",
         [ Alcotest.test_case "seeded" `Quick test_determinism;
           Alcotest.test_case "loss/delay decoupled" `Quick

@@ -467,6 +467,90 @@ let test_announce_checked_clean () =
     | v :: _ -> fail_violation ~seed ~scenario:"announce" v
   done
 
+(* A plain run takes the engine's fast loop, which claims same-instant
+   completions and runs them inline; attaching a metrics registry forces
+   the instrumented loop, which never claims.  Every outcome field that is
+   deterministic in the seed must agree, under faults, with and without
+   processing time, and at every small event budget (where a claimed
+   completion meets the budget edge). *)
+let test_fused_matches_instrumented () =
+  let n = 8 in
+  List.iter
+    (fun gamma ->
+       let params = Params.with_gamma Params.default gamma in
+       let proc_delay =
+         if gamma > 0. then Some (Abe_prob.Dist.exponential ~mean:gamma)
+         else None
+       in
+       List.iter
+         (fun scenario ->
+            for seed = 1 to 20 do
+              let fault = fault_of scenario ~seed ~n in
+              List.iter
+                (fun limit_events ->
+                   let config =
+                     Runner.config ~n ~a0:0.15 ~params ~proc_delay ~fault
+                       ~limit_time:300. ?limit_events ()
+                   in
+                   let fused = Runner.run ~seed config in
+                   let metrics = Abe_sim.Metrics.create () in
+                   let observed = Runner.run ~metrics ~seed config in
+                   let what field =
+                     Printf.sprintf "gamma %g, %s, seed %d, limit %s: %s" gamma
+                       scenario seed
+                       (match limit_events with
+                        | None -> "default"
+                        | Some k -> string_of_int k)
+                       field
+                   in
+                   Alcotest.(check string) (what "outcome")
+                     (Fmt.str "%a" Runner.pp_outcome fused)
+                     (Fmt.str "%a" Runner.pp_outcome observed);
+                   Alcotest.(check int64) (what "elected_at")
+                     (Int64.bits_of_float fused.Runner.elected_at)
+                     (Int64.bits_of_float observed.Runner.elected_at);
+                   Alcotest.(check int) (what "executed_events")
+                     fused.Runner.executed_events
+                     observed.Runner.executed_events;
+                   Alcotest.(check int) (what "max_queue_depth")
+                     fused.Runner.max_queue_depth
+                     observed.Runner.max_queue_depth;
+                   Alcotest.(check bool) (what "engine outcome") true
+                     (fused.Runner.engine_outcome
+                      = observed.Runner.engine_outcome))
+                (None :: List.init 8 (fun k -> Some (k + 1)))
+            done)
+         [ "none"; "bursty-loss"; "delay-spike"; "crash"; "rejoin";
+           "link-down(0@1:40)" ])
+    [ 0.; 0.05 ]
+
+(* The largest [sweep] size (n = 128, a0 = 1/n^2: the E3/E4 regime, where
+   99.5% of engine events are tick fires and completions) over seeds 1-8.
+   Construction is measured apart, as a run stopped after its first event,
+   and subtracted: what is left is the engine loop with the protocol's
+   handlers, which must allocate less than 1 B per executed event. *)
+let test_sweep_election_loop_allocation () =
+  let n = 128 in
+  let words = ref 0. and events = ref 0 in
+  for seed = 1 to 8 do
+    let config ?limit_events () =
+      Runner.config ~n ~a0:(1. /. float_of_int (n * n)) ?limit_events ()
+    in
+    let w0 = Gc.minor_words () in
+    let (_ : Runner.outcome) = Runner.run ~seed (config ~limit_events:1 ()) in
+    let w1 = Gc.minor_words () in
+    let o = Runner.run ~seed (config ()) in
+    let w2 = Gc.minor_words () in
+    Alcotest.(check bool) (Printf.sprintf "seed %d elected" seed) true
+      o.Runner.elected;
+    words := !words +. (w2 -. w1) -. (w1 -. w0);
+    events := !events + o.Runner.executed_events - 1
+  done;
+  let bytes_per_event = !words *. 8. /. float_of_int !events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d events, %.3f B/event" !events bytes_per_event)
+    true (bytes_per_event < 1.)
+
 let prop_safety_unique_leader =
   QCheck.Test.make ~name:"never more than one leader (any seed, any size)"
     ~count:60
@@ -555,6 +639,11 @@ let () =
             test_announce_matches_plain_election;
           Alcotest.test_case "n=2" `Quick test_announce_n2;
           Alcotest.test_case "mass samples" `Quick test_mass_samples_recorded ] );
+      ( "fast loop",
+        [ Alcotest.test_case "fused matches instrumented" `Quick
+            test_fused_matches_instrumented;
+          Alcotest.test_case "sweep election loop allocation" `Quick
+            test_sweep_election_loop_allocation ] );
       ( "configuration",
         [ Alcotest.test_case "validation" `Quick test_config_validation;
           Alcotest.test_case "naive variant" `Quick test_naive_variant_small_ring;

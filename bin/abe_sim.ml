@@ -160,6 +160,14 @@ let with_out_channel path f =
 let guard_io run =
   try run () with Sys_error message -> Error message
 
+(* Refuse the first of [flags] that is set, in one line:
+   "WHAT does not support FLAG; HINT". *)
+let refuse what ~hint flags =
+  match List.find_opt snd flags with
+  | None -> Ok ()
+  | Some (flag, _) ->
+    Error (Printf.sprintf "%s does not support %s; %s" what flag hint)
+
 (* Shared by every subcommand that takes --metrics[=FILE]. *)
 let emit_metrics destination registry =
   match destination with
@@ -318,20 +326,14 @@ let elect_command =
     in
     match backend with
     | `Real ->
-      let reject flag unsupported =
-        if unsupported then
-          Error
-            (Printf.sprintf
-               "--backend real does not support %s; drop it or use --backend \
-                sim"
-               flag)
-        else Ok ()
+      let* () =
+        refuse "--backend real" ~hint:"drop it or use --backend sim"
+          [ ("--trace", trace);
+            ("--trace-out", trace_out <> None);
+            ("--announce", announce);
+            ("--check", check);
+            ("--fault", fault <> "none") ]
       in
-      let* () = reject "--trace" trace in
-      let* () = reject "--trace-out" (trace_out <> None) in
-      let* () = reject "--announce" announce in
-      let* () = reject "--check" check in
-      let* () = reject "--fault" (fault <> "none") in
       let* sim_config =
         Result.map_error
           (fun (`Msg m) -> m)
@@ -380,11 +382,8 @@ let elect_command =
       else Error "no leader elected within the wall-clock budget"
     | `Sim ->
     let* () =
-      if telemetry_out <> None then
-        Error
-          "--backend sim does not support --telemetry-out; drop it or use \
-           --backend real"
-      else Ok ()
+      refuse "--backend sim" ~hint:"drop it or use --backend real"
+        [ ("--telemetry-out", telemetry_out <> None) ]
     in
     match
       build_config ~fault ~n ~a0 ~theta ~delta ~gamma ~drift ~delay_kind ~seed
@@ -485,19 +484,14 @@ let parity_command =
       span_out telemetry_out =
     guard_io @@ fun () ->
     let ( let* ) = Result.bind in
-    let reject flag unsupported =
-      if unsupported then
-        Error
-          (Printf.sprintf
-             "parity does not support %s; drop it (use elect --backend \
-              sim|real for per-run observability)"
-             flag)
-      else Ok ()
+    let* () =
+      refuse "parity"
+        ~hint:"drop it (use elect --backend sim|real for per-run observability)"
+        [ ("--metrics", metrics_dest <> None);
+          ("--trace-out", trace_out <> None);
+          ("--span-out", span_out <> None);
+          ("--telemetry-out", telemetry_out <> None) ]
     in
-    let* () = reject "--metrics" (metrics_dest <> None) in
-    let* () = reject "--trace-out" (trace_out <> None) in
-    let* () = reject "--span-out" (span_out <> None) in
-    let* () = reject "--telemetry-out" (telemetry_out <> None) in
     let* () =
       if runs < 2 then Error "parity: --runs must be at least 2" else Ok ()
     in
@@ -682,18 +676,15 @@ let saturate_command =
       metrics_dest trace_out span_out telemetry_out =
     guard_io @@ fun () ->
     let ( let* ) = Result.bind in
-    let reject flag unsupported =
-      if unsupported then
-        Error
-          (Printf.sprintf
-             "saturate does not support %s; drop it (--telemetry-out streams \
-              live progress, elect --backend real traces single runs)"
-             flag)
-      else Ok ()
+    let* () =
+      refuse "saturate"
+        ~hint:
+          "drop it (--telemetry-out streams live progress, elect --backend \
+           real traces single runs)"
+        [ ("--metrics", metrics_dest <> None);
+          ("--trace-out", trace_out <> None);
+          ("--span-out", span_out <> None) ]
     in
-    let* () = reject "--metrics" (metrics_dest <> None) in
-    let* () = reject "--trace-out" (trace_out <> None) in
-    let* () = reject "--span-out" (span_out <> None) in
     let saturate telemetry_out =
       Abe_substrate.Saturate.run ?telemetry_out ~a0:(effective_a0 ~theta a0 n)
         ~scale ~wall_timeout ~n ~elections ~concurrency ~seed ()

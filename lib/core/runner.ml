@@ -110,14 +110,16 @@ let hop tok = tok land ((1 lsl hop_bits) - 1)
 let traversed tok = tok lsr hop_bits
 let announce_token = 0
 
+let pp_token ppf tok =
+  if tok = announce_token then Format.pp_print_string ppf "<announce>"
+  else Election.pp_message ppf (hop tok)
+
 module Net = Network.Make (struct
     type state = Election.state
     type message = token
 
     let pp_state = Election.pp_state
-    let pp_message ppf tok =
-      if tok = announce_token then Format.pp_print_string ppf "<announce>"
-      else Election.pp_message ppf (hop tok)
+    let pp_message = pp_token
   end)
 
 (* Forwarding rule selector, for demonstrating that the oracle catches the
@@ -310,9 +312,9 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
     counters.mass_samples <- (time, !sum_d, !non_passive) :: counters.mass_samples
   in
   let sample_mass time = if config.record_mass then sample_mass_now time in
-  (* Election-layer reaction to dynamic-network events, layered over the
-     monitor's observer (observers stay pure probes — neither layer draws
-     randomness or schedules anything except the stall stop below):
+  (* Election-layer reaction to crash and revive events, one sink among
+     the others (sinks stay pure probes — none draws randomness or
+     schedules anything except the stall stop below):
 
      - [Revive]: the node rejoined with its protocol state reset, so the
        shadow ring (mass sampling, digests) must reset with it;
@@ -329,36 +331,34 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
       [] config.fault.Faults.revivals
   in
   let all_crashes = config.crash_times @ config.fault.Faults.crashes in
-  let monitor_observer = Option.map Monitor.observer monitor in
+  (* Without a crash there is no Crash event, and no Revive either. *)
+  let crash_observer ~time ~stats:_ ~in_flight:_ = function
+    | Network.Revive { node } ->
+      let before = shadow.(node) in
+      shadow.(node) <- Election.initial;
+      if announce then informed.(node) <- false;
+      record_phase time node before Election.initial
+    | Network.Crash { node } ->
+      if
+        counters.elections = 0
+        && (not (List.mem node revivable))
+        && !stall = None
+      then begin
+        stall :=
+          Some
+            (Printf.sprintf
+               "node %d crashed with no rejoin at t=%g: ring election cannot \
+                complete" node time);
+        !stop_engine ()
+      end
+    | _ -> ()
+  in
   let observer =
-    if monitor_observer = None && not dynamic_fault && all_crashes = [] then
-      None
-    else
-      Some
-        (fun ~time ~stats ~in_flight ev ->
-           (match (ev : Network.event) with
-            | Network.Revive { node } ->
-              let before = shadow.(node) in
-              shadow.(node) <- Election.initial;
-              if announce then informed.(node) <- false;
-              record_phase time node before Election.initial
-            | Network.Crash { node } ->
-              if
-                counters.elections = 0
-                && (not (List.mem node revivable))
-                && !stall = None
-              then begin
-                stall :=
-                  Some
-                    (Printf.sprintf
-                       "node %d crashed with no rejoin at t=%g: ring election \
-                        cannot complete" node time);
-                !stop_engine ()
-              end
-            | _ -> ());
-           match monitor_observer with
-           | None -> ()
-           | Some f -> f ~time ~stats ~in_flight ev)
+    Sinks.compose
+      [ Option.map (fun m -> Sinks.metrics m ~links:config.n) metrics;
+        Option.map (fun tr -> Sinks.trace tr ~pp:pp_token) trace;
+        Option.map Monitor.observer monitor;
+        (if all_crashes = [] then None else Some crash_observer) ]
   in
   let send_announce ctx =
     counters.announce_messages <- counters.announce_messages + 1;
@@ -517,7 +517,7 @@ let run_with ~activates ?trace ?metrics ?scheduler ?causal ?(check = false)
         (fun link -> Faults.apply_delay config.fault (base_delay_of_link link)) }
   in
   let net =
-    Net.create ?trace ?metrics ?scheduler ?causal ?observer
+    Net.create ?metrics ?scheduler ?causal ?observer
       ~limit_time:config.limit_time ~limit_events:config.limit_events
       ~wall_deadline ~seed net_config handlers
   in

@@ -177,9 +177,10 @@ let static_violation t ~time what =
     Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"dynamic-class"
       ~subject:"network" "%s event in a Static-class network" what
 
-let check_event t ~time (ev : Network.event) =
+let check_event t ~time (ev : _ Network.event) =
   match ev with
   | Send _ -> t.sent <- t.sent + 1
+  | Arrive _ -> ()
   | Loss _ -> t.lost <- t.lost + 1
   | Crash_drop _ -> t.dropped <- t.dropped + 1
   | Link_drop _ ->
@@ -204,7 +205,7 @@ let check_event t ~time (ev : Network.event) =
     let id = link.Topology.id in
     if id >= 0 && id < Array.length t.link_live then t.link_live.(id) <- true;
     check_connectivity t ~time
-  | Deliver { link; seq; dst = _ } ->
+  | Deliver { link; seq; _ } ->
     t.delivered <- t.delivered + 1;
     let id = link.Topology.id in
     if t.fifo && id >= 0 && id < Array.length t.last_delivered_seq then begin
@@ -247,7 +248,7 @@ let check_event t ~time (ev : Network.event) =
       t.last_tick.(node) <- Some (time, local_time)
     end
 
-let observer t : Network.observer =
+let observer t : _ Network.observer =
  fun ~time ~stats ~in_flight ev ->
   check_event t ~time ev;
   check_conservation t ~time ~stats ~in_flight

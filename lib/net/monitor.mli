@@ -63,7 +63,7 @@ val create :
     additionally need [topology] (the network's own) to walk the live
     subgraph — omitting it raises [Invalid_argument]. *)
 
-val observer : t -> Network.observer
+val observer : t -> 'm Network.observer
 (** The observer to pass to {!Network.Make.create}. *)
 
 val check_quiescence :

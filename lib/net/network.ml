@@ -12,19 +12,21 @@ type stats = {
   delivered_per_node : int array;
 }
 
-type event =
-  | Send of { link : Topology.link; seq : int }
-  | Deliver of { link : Topology.link; seq : int; dst : int }
-  | Loss of { link : Topology.link; seq : int }
+type 'm event =
+  | Send of { link : Topology.link; seq : int; msg : 'm }
+  | Arrive of { link : Topology.link; seq : int; dst : int; latency : float }
+  | Deliver of { link : Topology.link; seq : int; dst : int; msg : 'm }
+  | Loss of { link : Topology.link; seq : int; msg : 'm }
   | Crash_drop of { link : Topology.link; seq : int; dst : int }
-  | Link_drop of { link : Topology.link; seq : int }
+  | Link_drop of { link : Topology.link; seq : int; msg : 'm }
   | Tick of { node : int; local_time : float }
   | Crash of { node : int }
   | Revive of { node : int }
   | Link_down of { link : Topology.link }
   | Link_up of { link : Topology.link }
 
-type observer = time:float -> stats:stats -> in_flight:int -> event -> unit
+type 'm observer =
+  time:float -> stats:stats -> in_flight:int -> 'm event -> unit
 
 module type PROTOCOL = sig
   type state
@@ -44,7 +46,6 @@ module Make (P : PROTOCOL) = struct
     local_time : unit -> float;
     send : int -> P.message -> unit;
     stop : unit -> unit;
-    trace : string -> unit;
   }
 
   type handlers = {
@@ -92,20 +93,6 @@ module Make (P : PROTOCOL) = struct
            reaches the revived node's fresh state *)
   }
 
-  (* Pre-resolved metric handles: the send/deliver hot path must not pay
-     a registry name lookup per message. *)
-  type instruments = {
-    m_sent : Metrics.counter;
-    m_delivered : Metrics.counter;
-    m_lost : Metrics.counter;
-    m_crashed_drops : Metrics.counter;
-    m_link_drops : Metrics.counter;
-    m_ticks : Metrics.counter;
-    m_latency : Metrics.histogram;           (* all links *)
-    m_link_latency : Metrics.histogram array;  (* by link id *)
-    m_in_flight : Metrics.histogram;
-  }
-
   (* In-flight messages and pending tick completions live in pooled
      envelopes: structure-of-arrays slots recycled through freelists, each
      slot carrying a preallocated action closure (capturing only the
@@ -137,10 +124,8 @@ module Make (P : PROTOCOL) = struct
     tick_time : float array;        (* by node id: pending tick's instant *)
     occ : float array;              (* length 1: [occupy]'s start result *)
     net_stats : stats;
-    trace : Trace.t;
     causal : Causal.t option;
-    observer : observer option;
-    instruments : instruments option;
+    observer : P.message observer option;
     mutable inflight : int;
     mutable msg_seq : int;          (* per-network send sequence number *)
     (* Message envelope pool.  All arrays share the same capacity;
@@ -178,10 +163,13 @@ module Make (P : PROTOCOL) = struct
 
   let now t = Engine.now t.engine
 
-  let emit t ev =
-    match t.observer with
-    | None -> ()
-    | Some f -> f ~time:(now t) ~stats:t.net_stats ~in_flight:t.inflight ev
+  (* Every event leaves the network through [t.observer].  A hot site
+     guards with its own [match] so that no event is built without an
+     observer; [emit] serves the rare fault events. *)
+  let notify t f ev =
+    f ~time:(now t) ~stats:t.net_stats ~in_flight:t.inflight ev
+
+  let emit t ev = match t.observer with None -> () | Some f -> notify t f ev
 
   (* Scheduling classes for the engine's pluggable scheduler: link transit
      events share the link's class (per-link FIFO), node-local events
@@ -241,15 +229,11 @@ module Make (P : PROTOCOL) = struct
          not deliver into the revived node's fresh state. *)
       t.net_stats.crashed_drops <- t.net_stats.crashed_drops + 1;
       t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_crashed_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
       (match t.observer with
        | None -> ()
-       | Some _ ->
-         emit t (Crash_drop { link = t.links.(link_id); seq; dst = dst.id }));
+       | Some f ->
+         notify t f
+           (Crash_drop { link = t.links.(link_id); seq; dst = dst.id }));
       free_envelope t i
     end
     else begin
@@ -257,20 +241,13 @@ module Make (P : PROTOCOL) = struct
       t.net_stats.delivered_per_node.(dst.id) <-
         t.net_stats.delivered_per_node.(dst.id) + 1;
       t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_delivered;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
+      let message = t.env_msg.(i) in
       (match t.observer with
        | None -> ()
-       | Some _ ->
-         emit t (Deliver { link = t.links.(link_id); seq; dst = dst.id }));
-      let message = t.env_msg.(i) in
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"recv"
-          ~source:(Trace.Node dst.id)
-          "%a" P.pp_message message;
+       | Some f ->
+         notify t f
+           (Deliver
+              { link = t.links.(link_id); seq; dst = dst.id; msg = message }));
       (match t.causal with
        | None -> ()
        | Some c ->
@@ -294,49 +271,35 @@ module Make (P : PROTOCOL) = struct
          instant, releasing the envelope like every other exit path. *)
       t.net_stats.link_drops <- t.net_stats.link_drops + 1;
       t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_link_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
       (match t.observer with
        | None -> ()
-       | Some _ ->
-         emit t
+       | Some f ->
+         notify t f
            (Link_drop
-              { link = t.links.(t.env_link.(i)); seq = t.env_seq.(i) }));
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"link-drop"
-          ~source:(Trace.Link t.env_link.(i))
-          "%a" P.pp_message t.env_msg.(i);
+              { link = t.links.(t.env_link.(i)); seq = t.env_seq.(i);
+                msg = t.env_msg.(i) }));
       free_envelope t i
     end
     else if dst.is_crashed then begin
       t.net_stats.crashed_drops <- t.net_stats.crashed_drops + 1;
       t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_crashed_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
       (match t.observer with
        | None -> ()
-       | Some _ ->
-         emit t
+       | Some f ->
+         notify t f
            (Crash_drop
               { link = t.links.(t.env_link.(i)); seq = t.env_seq.(i);
                 dst = dst.id }));
       free_envelope t i
     end
     else begin
-      (match t.instruments with
+      (match t.observer with
        | None -> ()
-       | Some ins ->
-         (* Link transit time of a message reaching a live node; processing
-            queueing at the destination is not included. *)
-         let latency = now t -. t.env_sent_at.(i) in
-         Metrics.observe ins.m_latency latency;
-         Metrics.observe ins.m_link_latency.(t.env_link.(i)) latency);
+       | Some f ->
+         notify t f
+           (Arrive
+              { link = t.links.(t.env_link.(i)); seq = t.env_seq.(i);
+                dst = dst.id; latency = now t -. t.env_sent_at.(i) }));
       let arrival = now t in
       occupy t dst ~arrival;
       t.env_arrival.(i) <- arrival;
@@ -438,35 +401,17 @@ module Make (P : PROTOCOL) = struct
        again immediately (Loss) — so the conservation equation holds at
        both observer calls. *)
     t.inflight <- t.inflight + 1;
-    (match t.instruments with
-     | None -> ()
-     | Some ins ->
-       Metrics.incr ins.m_sent;
-       Metrics.observe ins.m_in_flight (float_of_int t.inflight));
     (match t.observer with
      | None -> ()
-     | Some _ -> emit t (Send { link; seq }));
-    if Trace.enabled t.trace then
-      Trace.recordf t.trace ~time:(now t) ~kind:"send"
-        ~source:(Trace.Node src.id)
-        "%a" P.pp_message message;
+     | Some f -> notify t f (Send { link; seq; msg = message }));
     match outcome with
     | Link_model.Down ->
       (* Sent into a down link: the message leaves flight immediately. *)
       t.net_stats.link_drops <- t.net_stats.link_drops + 1;
       t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_link_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
       (match t.observer with
        | None -> ()
-       | Some _ -> emit t (Link_drop { link; seq }));
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"link-drop"
-          ~source:(Trace.Link link_id)
-          "%a" P.pp_message message;
+       | Some f -> notify t f (Link_drop { link; seq; msg = message }));
       (match t.causal with
        | None -> ()
        | Some c ->
@@ -477,18 +422,9 @@ module Make (P : PROTOCOL) = struct
     | Link_model.Lost ->
       t.net_stats.lost <- t.net_stats.lost + 1;
       t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_lost;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
       (match t.observer with
        | None -> ()
-       | Some _ -> emit t (Loss { link; seq }));
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"loss"
-          ~source:(Trace.Link link_id)
-          "%a" P.pp_message message;
+       | Some f -> notify t f (Loss { link; seq; msg = message }));
       (* A lost message still happened causally: record a zero-length
          transit span (never marked delivered, so no flow arrow). *)
       (match t.causal with
@@ -542,8 +478,8 @@ module Make (P : PROTOCOL) = struct
 
   (* Context builder: [now] and [stop] close over the network alone, so a
      single shared pair serves every node — only the closures that really
-     capture per-node state ([local_time], [send], [trace]) are allocated
-     n times. *)
+     capture per-node state ([local_time], [send]) are allocated n
+     times. *)
   let context_builder t =
     let n = Array.length t.nodes in
     let now () = Engine.now t.engine in
@@ -557,11 +493,7 @@ module Make (P : PROTOCOL) = struct
         local_time =
           (fun () -> Clock.local_time node.clock ~real:(Engine.now t.engine));
         send = (fun link_index message -> send_from t node link_index message);
-        stop;
-        trace =
-          (fun message ->
-             Trace.record t.trace ~time:(Engine.now t.engine)
-               ~source:(Trace.Node node.id) message) }
+        stop }
 
   let free_tick t i =
     t.tc_next.(i) <- t.tc_free;
@@ -578,13 +510,10 @@ module Make (P : PROTOCOL) = struct
     let node = t.nodes.(id) in
     if (not node.is_crashed) && node.incarnation = inc then begin
       t.net_stats.ticks <- t.net_stats.ticks + 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins -> Metrics.incr ins.m_ticks);
       (match t.observer with
        | None -> ()
-       | Some _ ->
-         emit t
+       | Some f ->
+         notify t f
            (Tick
               { node = id;
                 local_time =
@@ -740,7 +669,7 @@ module Make (P : PROTOCOL) = struct
       if t.config.ticks_enabled then start_ticks t node ~after:tnow
     end
 
-  let create ?trace ?metrics ?scheduler ?causal ?observer
+  let create ?metrics ?scheduler ?causal ?observer
       ?(limit_time = infinity) ?(limit_events = max_int)
       ?(wall_deadline = infinity) ~seed config handlers =
     if not (config.loss_probability >= 0. && config.loss_probability <= 1.)
@@ -749,11 +678,6 @@ module Make (P : PROTOCOL) = struct
     let engine =
       Engine.create ?metrics ?scheduler ?causal ~limit_time ~limit_events
         ~wall_deadline ()
-    in
-    let trace =
-      match trace with
-      | Some tr -> tr
-      | None -> Trace.create ~enabled:false ()
     in
     let topo = config.topology in
     let n = Topology.node_count topo in
@@ -777,22 +701,6 @@ module Make (P : PROTOCOL) = struct
       with
       | Ok created -> created
       | Error msg -> invalid_arg ("Network.create: " ^ msg)
-    in
-    let instruments =
-      Option.map
-        (fun m ->
-           { m_sent = Metrics.counter m "net/sent";
-             m_delivered = Metrics.counter m "net/delivered";
-             m_lost = Metrics.counter m "net/lost";
-             m_crashed_drops = Metrics.counter m "net/crashed_drops";
-             m_link_drops = Metrics.counter m "net/link_drops";
-             m_ticks = Metrics.counter m "net/ticks";
-             m_latency = Metrics.histogram m "net/latency";
-             m_link_latency =
-               Array.init link_count (fun i ->
-                   Metrics.histogram m (Printf.sprintf "net/link/%04d/latency" i));
-             m_in_flight = Metrics.histogram m "net/in_flight" })
-        metrics
     in
     let t =
       { engine;
@@ -830,10 +738,8 @@ module Make (P : PROTOCOL) = struct
             ticks = 0;
             sent_per_node = Array.make n 0;
             delivered_per_node = Array.make n 0 };
-        trace;
         causal;
         observer;
-        instruments;
         inflight = 0;
         msg_seq = 0;
         env_msg = [||];

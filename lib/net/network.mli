@@ -36,16 +36,34 @@ type stats = {
   delivered_per_node : int array;
 }
 
-(** Network-level events, reported to the optional per-network observer.
-    [seq] is a per-network send sequence number: assigned in send order,
-    it lets a monitor track an individual message from [Send] to its
-    [Deliver] / [Loss] / [Crash_drop] and check per-link FIFO order. *)
-type event =
-  | Send of { link : Topology.link; seq : int }
-  | Deliver of { link : Topology.link; seq : int; dst : int }
-  | Loss of { link : Topology.link; seq : int }
+(** The network's event stream.  Every event the network reports leaves
+    through one hook, the per-network {!observer}, in execution order:
+    sends, arrivals, deliveries and every kind of drop, processed ticks,
+    and the fault events (crash, revive, link outage edges).  Statistics,
+    traces and invariant checks are {e sinks}: observers that fold over
+    this stream ({!Sinks.metrics}, {!Sinks.trace}, {!Monitor.observer}),
+    composed into the one hook by {!Sinks.compose}.
+
+    ['m] is the protocol's message type: [Send], [Deliver], [Loss] and
+    [Link_drop] carry the payload in [msg], so a sink can print it.  [seq]
+    is a per-network send sequence number: assigned in send order, it lets
+    a monitor track an individual message from [Send] to its [Deliver] /
+    [Loss] / [Crash_drop] / [Link_drop] and check per-link FIFO order. *)
+type 'm event =
+  | Send of { link : Topology.link; seq : int; msg : 'm }
+  | Arrive of { link : Topology.link; seq : int; dst : int; latency : float }
+      (** the message reached a live node over a live link and queues for
+          processing; [latency] is its link transit time, send to arrival
+          (queueing at the destination not included).  A message dropped
+          at arrival has no [Arrive]. *)
+  | Deliver of { link : Topology.link; seq : int; dst : int; msg : 'm }
+      (** the destination's handler takes the message, at its processing
+          completion instant *)
+  | Loss of { link : Topology.link; seq : int; msg : 'm }
   | Crash_drop of { link : Topology.link; seq : int; dst : int }
-  | Link_drop of { link : Topology.link; seq : int }
+      (** the destination was down at arrival, or crashed between arrival
+          and processing completion *)
+  | Link_drop of { link : Topology.link; seq : int; msg : 'm }
       (** the message's link was down — at send, or at arrival for a
           message in flight when the link died *)
   | Tick of { node : int; local_time : float }
@@ -59,14 +77,18 @@ type event =
   | Link_down of { link : Topology.link }
   | Link_up of { link : Topology.link }
 
-type observer = time:float -> stats:stats -> in_flight:int -> event -> unit
+type 'm observer =
+  time:float -> stats:stats -> in_flight:int -> 'm event -> unit
 (** Called synchronously after the network's own accounting for the event
     has been updated, with the network's live [stats] record and in-flight
     count — so invariants such as message conservation
     ([sent = delivered + lost + crashed_drops + link_drops + in_flight])
-    must hold at {e every} call.  Observers are read-only probes: they must
-    not send, schedule or otherwise perturb the simulation (see
-    {!Monitor}). *)
+    must hold at {e every} call.  Observers are read-only: they must not
+    send, schedule, draw randomness or otherwise perturb the run, so every
+    outcome is byte-identical with any set of sinks attached.  The one
+    exception is {!Abe_sim.Engine.stop}, which a harness may call to end a
+    run that cannot complete.  Without an observer no event is built: the
+    network's hot path pays one [None] test per event site. *)
 
 module type PROTOCOL = sig
   type state
@@ -91,7 +113,6 @@ module Make (P : PROTOCOL) : sig
     send : int -> P.message -> unit;
         (** [send i msg] transmits on the [i]-th outgoing link. *)
     stop : unit -> unit;          (** request simulation termination *)
-    trace : string -> unit;
   }
 
   type handlers = {
@@ -148,11 +169,10 @@ module Make (P : PROTOCOL) : sig
       same delay model on every link. *)
 
   val create :
-    ?trace:Abe_sim.Trace.t ->
     ?metrics:Abe_sim.Metrics.t ->
     ?scheduler:Abe_sim.Engine.scheduler ->
     ?causal:Abe_sim.Causal.t ->
-    ?observer:observer ->
+    ?observer:P.message observer ->
     ?limit_time:float ->
     ?limit_events:int ->
     ?wall_deadline:float ->
@@ -168,15 +188,10 @@ module Make (P : PROTOCOL) : sig
       and [crash_times]; invalid configuration raises [Invalid_argument]
       here rather than deep inside a run.
 
-      When a [metrics] registry is supplied the network (and its engine)
-      record into it: counters ["net/sent"], ["net/delivered"],
-      ["net/lost"], ["net/crashed_drops"], ["net/ticks"]; histograms
-      ["net/latency"] (link transit time of every message reaching a live
-      node, aggregated) and ["net/link/NNNN/latency"] per link id; and
-      ["net/in_flight"] (in-flight message count observed at every
-      send/deliver/loss transition).  Like tracing and observers,
-      recording draws no randomness: every outcome is byte-identical with
-      and without a registry.
+      A [metrics] registry is handed to the engine, which records its
+      ["engine/*"] rows into it (see {!Abe_sim.Engine.create}).  The
+      network's own ["net/*"] rows come from the {!Sinks.metrics}
+      observer.
 
       When a [causal] span recorder is supplied the network records the
       happens-before DAG into it (and threads it to its engine): a

@@ -6,11 +6,10 @@
    and flat floats: executing one event on the fast path allocates nothing.
 
    [run] dispatches once per call between two monomorphic loops: the fast
-   loop, used when no observer, metrics registry, causal recorder or
-   scheduler is attached, performs no per-event observation branches at
-   all; the instrumented loop carries the full observation surface
-   (metrics, observer, causal announcements) and the scheduler variant on
-   top of that.  Both pop in identical [(time, seq)] order, so executions
+   loop, used when no metrics registry, causal recorder or scheduler is
+   attached, performs no per-event observation branches at all; the
+   instrumented loop carries the full observation surface (metrics and
+   causal announcements) and the scheduler variant on top of that.  Both pop in identical [(time, seq)] order, so executions
    are byte-identical across loop choices.
 
    Three queues.  Without a scheduler, pending events are split across
@@ -137,7 +136,6 @@ type t = {
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
   mutable claims : bool;  (* inside [run_fast]: [claim_now] may say yes *)
-  mutable observer : (float -> unit) option;
   mutable digest_source : (unit -> int) option;
   instruments : instruments option;
   scheduler : scheduler option;
@@ -188,7 +186,6 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
     wall = 0.;
     stop_requested = false;
     claims = false;
-    observer = None;
     digest_source = None;
     instruments;
     scheduler;
@@ -381,15 +378,7 @@ let cancel t id =
 
 let stop t = t.stop_requested <- true
 
-let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
-
 let set_digest_source t f = t.digest_source <- Some f
-
-let notify t time =
-  match t.observer with
-  | None -> ()
-  | Some f -> f time
 
 (* Record one executed event; [depth] is the pending-event count at the
    instant the event fired. *)
@@ -536,8 +525,7 @@ let execute t ~time slot =
   announce t ~time slot;
   let action = t.ev_action.(slot) in
   free_slot t slot;
-  action ();
-  notify t time
+  action ()
 
 let step t =
   t.claims <- false;  (* a [run] cut short by an exception leaves it set *)
@@ -616,8 +604,7 @@ let claim_now t =
     true
   end
 
-(* The monomorphic fast loop: no observer, metrics, causal recorder or
-   scheduler — and therefore not a single observation branch per event.
+(* The monomorphic fast loop: no metrics, causal recorder or scheduler — and therefore not a single observation branch per event.
    Identical (time, seq) pop order to the instrumented loops, so outcomes
    are byte-identical; an over-budget event is re-enqueued under its
    original [eseq] so it is not demoted behind same-priority peers on
@@ -704,8 +691,7 @@ let run t =
     match t.scheduler with
     | Some sched -> run_scheduled t sched
     | None ->
-      t.claims <-
-        t.instruments == None && t.causal == None && t.observer == None;
+      t.claims <- t.instruments == None && t.causal == None;
       if t.claims then run_fast t else run_instrumented t
   in
   t.claims <- false;

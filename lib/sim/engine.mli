@@ -23,8 +23,7 @@
     than the last one queued joins the {e run}, which stays sorted by
     construction (a periodic tick chain lives there at O(1) per fire).
     The three together still yield exact [(time, seq)] order.  When no
-    observer, metrics registry, causal recorder or
-    scheduler is attached, [run] enters a monomorphic fast loop with no
+    metrics registry, causal recorder or scheduler is attached, [run] enters a monomorphic fast loop with no
     per-event observation branches and no per-event allocation.  Both loops
     pop in identical [(time, seq)] order, so executions are byte-identical
     whichever is selected.  Inside the fast loop, an action may also
@@ -173,8 +172,8 @@ val claim_now : t -> bool
 (** [claim_now t] is [true] when an event scheduled now, at [now t], would
     be the very next one executed, and the caller may run its body inline
     instead, as the last thing its own action does.  That holds only
-    inside {!run}'s fast loop (never under {!step}, an observer, metrics,
-    a causal recorder or a scheduler), when no live event is due at
+    inside {!run}'s fast loop (never under {!step}, metrics, a causal
+    recorder or a scheduler), when no live event is due at
     [now t] (every one would have a lower sequence number and go first),
     when {!stop} has not been requested, and when neither the event nor
     the wall-clock budget stops the run before that event.  On [true] the
@@ -190,19 +189,6 @@ val cancel : t -> event_id -> unit
 val stop : t -> unit
 (** Request termination: [run] returns {!Stopped} after the current action
     finishes. *)
-
-val set_observer : t -> (float -> unit) -> unit
-(** Install a per-event observer, called with the event's timestamp after
-    each executed event's action returns (in both {!run} and {!step}).
-    Invariant monitors hook here to check post-conditions at every step.
-    At most one observer is installed; a second call replaces the first.
-    The observer must not schedule, cancel or stop — it is a read-only
-    probe.  Install it before calling {!run}: the observed/unobserved
-    decision is made once per [run] call, so an observer installed from
-    inside an action of an otherwise uninstrumented run only takes effect
-    at the next {!run} or {!step}. *)
-
-val clear_observer : t -> unit
 
 val set_digest_source : t -> (unit -> int) -> unit
 (** Install the function that computes the [state_digest] handed to a

@@ -308,46 +308,6 @@ let test_counters_ignore_cancelled () =
   Alcotest.(check int) "only live event executed" 1 c.Engine.executed;
   Alcotest.(check int) "depth counted both while live" 2 c.Engine.max_queue_depth
 
-let test_observer_sees_every_event () =
-  let engine = Engine.create () in
-  let seen = ref [] in
-  Engine.set_observer engine (fun time -> seen := time :: !seen);
-  List.iter
-    (fun delay -> ignore (Engine.schedule engine ~delay (fun () -> ())))
-    [ 3.; 1.; 2. ];
-  ignore (Engine.run engine);
-  Alcotest.(check (list (float 1e-9))) "called once per event, with its time"
-    [ 1.; 2.; 3. ] (List.rev !seen)
-
-let test_observer_sees_step () =
-  let engine = Engine.create () in
-  let calls = ref 0 in
-  Engine.set_observer engine (fun _ -> incr calls);
-  ignore (Engine.schedule engine ~delay:1. (fun () -> ()));
-  ignore (Engine.step engine);
-  Alcotest.(check int) "observer fires under step" 1 !calls
-
-let test_observer_after_action () =
-  (* The observer is a post-condition probe: it must run after the event's
-     action, seeing the state the action left behind. *)
-  let engine = Engine.create () in
-  let state = ref 0 and observed = ref (-1) in
-  Engine.set_observer engine (fun _ -> observed := !state);
-  ignore (Engine.schedule engine ~delay:1. (fun () -> state := 7));
-  ignore (Engine.run engine);
-  Alcotest.(check int) "sees post-action state" 7 !observed
-
-let test_clear_observer () =
-  let engine = Engine.create () in
-  let calls = ref 0 in
-  Engine.set_observer engine (fun _ -> incr calls);
-  ignore (Engine.schedule engine ~delay:1. (fun () -> ()));
-  ignore (Engine.run engine);
-  Engine.clear_observer engine;
-  ignore (Engine.schedule engine ~delay:1. (fun () -> ()));
-  ignore (Engine.run engine);
-  Alcotest.(check int) "no calls after clear" 1 !calls
-
 let prop_many_events_ordered =
   QCheck.Test.make ~name:"random schedules execute in order" ~count:200
     QCheck.(list (float_range 0. 100.))
@@ -409,12 +369,12 @@ let test_wall_deadline_past_exits_promptly () =
    engine's run queue), insert below, at and just under the run's tail
    (direct heap inserts and tail evictions), cancel live and stale
    handles, stop, and hit both budgets; each is driven through [run] and
-   [step], on the fast loop, the observed loop and a window-0 scheduler
-   that always picks the earliest candidate.  An event may also end by
-   claiming its successor ([Engine.claim_now]) and running it inline; the
-   model claims exactly when the engine must: inside a fast-loop [run],
-   with no pending event due now, [stop] not requested and the event
-   budget not spent. *)
+   [step], on the fast loop, the instrumented loop and a window-0
+   scheduler that always picks the earliest candidate.  An event may also
+   end by claiming its successor ([Engine.claim_now]) and running it
+   inline; the model claims exactly when the engine must: inside a
+   fast-loop [run], with no pending event due now, [stop] not requested
+   and the event budget not spent. *)
 
 type op =
   | Delay of float * int  (* schedule program [p] after [delay] *)
@@ -535,11 +495,14 @@ let on_engine prog =
           choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
     | Fast | Observed -> None
   in
+  (* A metrics registry forces the instrumented loop. *)
+  let metrics =
+    if prog.mode = Observed then Some (Metrics.create ()) else None
+  in
   let e =
-    Engine.create ?scheduler ~limit_events:prog.limit_events
+    Engine.create ?metrics ?scheduler ~limit_events:prog.limit_events
       ~limit_time:prog.limit_time ()
   in
-  if prog.mode = Observed then Engine.set_observer e ignore;
   execute_program prog
     { now = (fun () -> Engine.now e);
       after = (fun delay act -> Engine.schedule e ~delay act);
@@ -792,13 +755,6 @@ let () =
             test_counters_stable_across_time_limit_resume;
           Alcotest.test_case "cancelled events" `Quick
             test_counters_ignore_cancelled ] );
-      ( "observer",
-        [ Alcotest.test_case "sees every event" `Quick
-            test_observer_sees_every_event;
-          Alcotest.test_case "fires under step" `Quick test_observer_sees_step;
-          Alcotest.test_case "runs after the action" `Quick
-            test_observer_after_action;
-          Alcotest.test_case "clear" `Quick test_clear_observer ] );
       ( "validation",
         [ Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;

@@ -30,10 +30,11 @@ let invariants oracle =
 (* Emit a consistent send+deliver pair through the observer. *)
 let send_then_deliver obs stats ~seq ~t_send ~t_deliver =
   stats.Network.sent <- stats.Network.sent + 1;
-  obs ~time:t_send ~stats ~in_flight:1 (Network.Send { link = link0; seq });
+  obs ~time:t_send ~stats ~in_flight:1
+    (Network.Send { link = link0; seq; msg = () });
   stats.Network.delivered <- stats.Network.delivered + 1;
   obs ~time:t_deliver ~stats ~in_flight:0
-    (Network.Deliver { link = link0; seq; dst = 1 })
+    (Network.Deliver { link = link0; seq; dst = 1; msg = () })
 
 let test_consistent_stream_clean () =
   let m, oracle = monitor ~fifo:true () in
@@ -53,7 +54,8 @@ let test_conservation_violation () =
   st.Network.sent <- 1;
   (* in_flight claims 0 while nothing was delivered/lost: the equation and
      the independent count both break. *)
-  obs ~time:0. ~stats:st ~in_flight:0 (Network.Send { link = link0; seq = 0 });
+  obs ~time:0. ~stats:st ~in_flight:0
+    (Network.Send { link = link0; seq = 0; msg = () });
   Alcotest.(check bool) "conservation fired" true
     (List.mem "conservation" (invariants oracle))
 
@@ -64,7 +66,8 @@ let test_accounting_violation () =
   (* The network's stats claim a delivery the monitor never observed. *)
   st.Network.sent <- 2;
   st.Network.delivered <- 1;
-  obs ~time:0. ~stats:st ~in_flight:1 (Network.Send { link = link0; seq = 0 });
+  obs ~time:0. ~stats:st ~in_flight:1
+    (Network.Send { link = link0; seq = 0; msg = () });
   Alcotest.(check bool) "accounting fired" true
     (List.mem "accounting" (invariants oracle))
 
@@ -73,15 +76,17 @@ let test_fifo_violation () =
   let obs = Monitor.observer m in
   let st = stats () in
   st.Network.sent <- 2;
-  obs ~time:0. ~stats:st ~in_flight:2 (Network.Send { link = link0; seq = 0 });
-  obs ~time:0. ~stats:st ~in_flight:2 (Network.Send { link = link0; seq = 1 });
+  obs ~time:0. ~stats:st ~in_flight:2
+    (Network.Send { link = link0; seq = 0; msg = () });
+  obs ~time:0. ~stats:st ~in_flight:2
+    (Network.Send { link = link0; seq = 1; msg = () });
   (* Deliver seq 1 before seq 0 on the same link: out of order. *)
   st.Network.delivered <- 1;
   obs ~time:1. ~stats:st ~in_flight:1
-    (Network.Deliver { link = link0; seq = 1; dst = 1 });
+    (Network.Deliver { link = link0; seq = 1; dst = 1; msg = () });
   st.Network.delivered <- 2;
   obs ~time:2. ~stats:st ~in_flight:0
-    (Network.Deliver { link = link0; seq = 0; dst = 1 });
+    (Network.Deliver { link = link0; seq = 0; dst = 1; msg = () });
   Alcotest.(check bool) "fifo fired" true (List.mem "fifo" (invariants oracle))
 
 let test_fifo_ignored_when_disabled () =
@@ -89,14 +94,16 @@ let test_fifo_ignored_when_disabled () =
   let obs = Monitor.observer m in
   let st = stats () in
   st.Network.sent <- 2;
-  obs ~time:0. ~stats:st ~in_flight:2 (Network.Send { link = link0; seq = 0 });
-  obs ~time:0. ~stats:st ~in_flight:2 (Network.Send { link = link0; seq = 1 });
+  obs ~time:0. ~stats:st ~in_flight:2
+    (Network.Send { link = link0; seq = 0; msg = () });
+  obs ~time:0. ~stats:st ~in_flight:2
+    (Network.Send { link = link0; seq = 1; msg = () });
   st.Network.delivered <- 1;
   obs ~time:1. ~stats:st ~in_flight:1
-    (Network.Deliver { link = link0; seq = 1; dst = 1 });
+    (Network.Deliver { link = link0; seq = 1; dst = 1; msg = () });
   st.Network.delivered <- 2;
   obs ~time:2. ~stats:st ~in_flight:0
-    (Network.Deliver { link = link0; seq = 0; dst = 1 });
+    (Network.Deliver { link = link0; seq = 0; dst = 1; msg = () });
   Alcotest.(check bool) "no fifo check on non-fifo links" false
     (List.mem "fifo" (invariants oracle))
 
@@ -163,13 +170,14 @@ let test_dynamic_accepts_churn_stream () =
   let st = stats () in
   obs ~time:0.5 ~stats:st ~in_flight:0 (Network.Crash { node = 0 });
   st.Network.sent <- 1;
-  obs ~time:1. ~stats:st ~in_flight:1 (Network.Send { link = link0; seq = 0 });
+  obs ~time:1. ~stats:st ~in_flight:1
+    (Network.Send { link = link0; seq = 0; msg = () });
   obs ~time:1.2 ~stats:st ~in_flight:1 (Network.Link_down { link = link0 });
   (* The link died with the message in flight: the drop is accounted, so
      conservation still balances at the observer call. *)
   st.Network.link_drops <- 1;
   obs ~time:1.5 ~stats:st ~in_flight:0
-    (Network.Link_drop { link = link0; seq = 0 });
+    (Network.Link_drop { link = link0; seq = 0; msg = () });
   obs ~time:2. ~stats:st ~in_flight:0 (Network.Link_up { link = link0 });
   obs ~time:2.5 ~stats:st ~in_flight:0 (Network.Revive { node = 0 });
   Monitor.check_quiescence m ~time:3. ~outcome:Abe_sim.Engine.Drained
@@ -182,11 +190,12 @@ let test_link_drop_conservation_violation () =
   let obs = Monitor.observer m in
   let st = stats () in
   st.Network.sent <- 1;
-  obs ~time:1. ~stats:st ~in_flight:1 (Network.Send { link = link0; seq = 0 });
+  obs ~time:1. ~stats:st ~in_flight:1
+    (Network.Send { link = link0; seq = 0; msg = () });
   (* Link drop claimed without updating the stats: both the equation and
      the independent count break. *)
   obs ~time:2. ~stats:st ~in_flight:0
-    (Network.Link_drop { link = link0; seq = 0 });
+    (Network.Link_drop { link = link0; seq = 0; msg = () });
   Alcotest.(check bool) "conservation fired" true
     (List.mem "conservation" (invariants oracle))
 

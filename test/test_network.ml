@@ -870,6 +870,61 @@ let test_ticking_ring_allocates_nothing () =
     (Printf.sprintf "%d events, %.4f B/event" (e1 - e0) bytes_per_event)
     true (bytes_per_event < 1.)
 
+(* The metrics and trace sinks are folds over the one event stream.  On
+   the token ring with a loss schedule, a link outage, a crash with
+   rejoin and processing time, their figures must match the network's own
+   accounting: each counter its [stats] field, the latency histogram one
+   observation per [Arrive] (and every delivery arrived first), and the
+   trace one entry per send, delivery, loss and link drop. *)
+let test_sinks_fold_the_stream () =
+  let config, handlers = token_ring ~gamma:0.05 in
+  let config =
+    { config with
+      Net.loss_schedule = Some (fun time -> if time < 20. then 0.2 else 0.);
+      link_downs = [ (1, 5., 15.) ];
+      crash_times = (3, 6.) :: config.Net.crash_times;
+      revive_times = [ (3, 12.) ] }
+  in
+  let registry = Abe_sim.Metrics.create () in
+  let trace = Abe_sim.Trace.create ~enabled:true () in
+  let arrived = Hashtbl.create 64 and unarrived = ref 0 in
+  let count_arrivals ~time:_ ~stats:_ ~in_flight:_ = function
+    | Network.Arrive { seq; _ } -> Hashtbl.replace arrived seq ()
+    | Network.Deliver { seq; _ } ->
+      if not (Hashtbl.mem arrived seq) then incr unarrived
+    | _ -> ()
+  in
+  let observer =
+    Sinks.compose
+      [ Some (Sinks.metrics registry ~links:8);
+        Some (Sinks.trace trace ~pp:Proto.pp_message);
+        Some count_arrivals ]
+  in
+  let net = Net.create ?observer ~seed:3 config handlers in
+  ignore (Net.run net);
+  let stats = Net.stats net in
+  let counter name =
+    Abe_sim.Metrics.counter_value (Abe_sim.Metrics.counter registry name)
+  in
+  List.iter
+    (fun (name, field) ->
+       Alcotest.(check bool) (name ^ " happened") true (field > 0);
+       Alcotest.(check int) name field (counter name))
+    [ ("net/sent", stats.Network.sent);
+      ("net/delivered", stats.Network.delivered);
+      ("net/lost", stats.Network.lost);
+      ("net/crashed_drops", stats.Network.crashed_drops);
+      ("net/link_drops", stats.Network.link_drops);
+      ("net/ticks", stats.Network.ticks) ];
+  Alcotest.(check int) "deliveries without an arrival" 0 !unarrived;
+  Alcotest.(check int) "net/latency count" (Hashtbl.length arrived)
+    (Abe_sim.Metrics.hist_count
+       (Abe_sim.Metrics.histogram registry "net/latency"));
+  Alcotest.(check int) "trace entries"
+    (stats.Network.sent + stats.Network.delivered + stats.Network.lost
+     + stats.Network.link_drops)
+    (Abe_sim.Trace.length trace + Abe_sim.Trace.dropped trace)
+
 let prop_conservation =
   QCheck.Test.make ~name:"sent = delivered + lost + in-flight(0 after drain)"
     ~count:60
@@ -936,7 +991,9 @@ let () =
             test_link_model_validation ] );
       ( "observer",
         [ Alcotest.test_case "sees every event" `Quick
-            test_observer_sees_every_event ] );
+            test_observer_sees_every_event;
+          Alcotest.test_case "sinks fold the stream" `Quick
+            test_sinks_fold_the_stream ] );
       ( "fast loop",
         [ Alcotest.test_case "fused matches instrumented" `Quick
             test_fused_matches_instrumented;

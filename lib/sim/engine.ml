@@ -9,8 +9,9 @@
    loop, used when no metrics registry, causal recorder or scheduler is
    attached, performs no per-event observation branches at all; the
    instrumented loop carries the full observation surface (metrics and
-   causal announcements) and the scheduler variant on top of that.  Both pop in identical [(time, seq)] order, so executions
-   are byte-identical across loop choices.
+   causal announcements) and the scheduler variant on top of that.  Both
+   pop in identical [(time, seq)] order, so executions are byte-identical
+   across loop choices.
 
    Three queues.  Without a scheduler, pending events are split across
    three structures, each sorted by [(time, seq)]:
@@ -604,7 +605,8 @@ let claim_now t =
     true
   end
 
-(* The monomorphic fast loop: no metrics, causal recorder or scheduler — and therefore not a single observation branch per event.
+(* The monomorphic fast loop: no metrics, causal recorder or scheduler —
+   and therefore not a single observation branch per event.
    Identical (time, seq) pop order to the instrumented loops, so outcomes
    are byte-identical; an over-budget event is re-enqueued under its
    original [eseq] so it is not demoted behind same-priority peers on

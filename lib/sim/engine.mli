@@ -23,10 +23,11 @@
     than the last one queued joins the {e run}, which stays sorted by
     construction (a periodic tick chain lives there at O(1) per fire).
     The three together still yield exact [(time, seq)] order.  When no
-    metrics registry, causal recorder or scheduler is attached, [run] enters a monomorphic fast loop with no
-    per-event observation branches and no per-event allocation.  Both loops
-    pop in identical [(time, seq)] order, so executions are byte-identical
-    whichever is selected.  Inside the fast loop, an action may also
+    metrics registry, causal recorder or scheduler is attached, [run]
+    enters a monomorphic fast loop with no per-event observation branches
+    and no per-event allocation.  Both loops pop in identical
+    [(time, seq)] order, so executions are byte-identical whichever is
+    selected.  Inside the fast loop, an action may also
     {!claim_now} the event it would schedule at the current instant and
     run it inline, when that event would be the very next one popped:
     one dispatch instead of two, the same execution. *)
